@@ -69,8 +69,9 @@ let injection c ~event =
 let tele_injected = Telemetry.Registry.counter "chaos.injected"
 
 (* Arm/disarm the world-level part of an injection (the Bugdb toggle).
-   Disarm uses [Bugdb.clear_forced], not [force_off]: off would win over any
-   later force_on and pin the bug off for the rest of the world's life. *)
+   Disarm undoes exactly the one [force_on] that arm pushed: [force_off]
+   would pin the bug off for the rest of the world's life, and clearing
+   every override would also drop the caller's own force_on/force_off. *)
 let arm inj (bugs : Bugdb.t) =
   match inj with
   | Calm -> ()
@@ -81,7 +82,7 @@ let arm inj (bugs : Bugdb.t) =
 
 let disarm inj (bugs : Bugdb.t) =
   match inj with
-  | Helper_bug key -> Bugdb.clear_forced bugs key
+  | Helper_bug key -> Bugdb.unforce_on bugs key
   | Calm | Fuel_pressure _ | Stack_pressure -> ()
 
 (* The per-invocation part: tighten the run options for this event. *)

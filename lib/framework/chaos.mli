@@ -31,8 +31,9 @@ val arm : injection -> Helpers.Bugdb.t -> unit
 (** Apply the world-level part (Bugdb force_on) and count the injection. *)
 
 val disarm : injection -> Helpers.Bugdb.t -> unit
-(** Undo [arm] via [Bugdb.clear_forced] (a [force_off] would pin the bug
-    off for the rest of the world's life). *)
+(** Undo [arm] via [Bugdb.unforce_on]: only the one override [arm]
+    pushed goes, so a bug the caller forced on stays on and one it forced
+    off stays off. *)
 
 val apply_opts : injection -> Invoke.run_opts -> Invoke.run_opts
 (** The per-invocation part: tighten fuel / call-depth for this event. *)

@@ -57,13 +57,16 @@ let create ?(version = Kver.V5_18) () = { version; forced_on = []; forced_off = 
 let force_on t key = t.forced_on <- key :: t.forced_on
 let force_off t key = t.forced_off <- key :: t.forced_off
 
-(* Drop every override for [key], restoring the version-window default.
-   [force_off] cannot undo a [force_on] (off wins and both lists only ever
-   grow), so transient injection — the chaos harness arming a bug for one
-   event — needs a true removal. *)
-let clear_forced t key =
-  t.forced_on <- List.filter (fun k -> not (String.equal k key)) t.forced_on;
-  t.forced_off <- List.filter (fun k -> not (String.equal k key)) t.forced_off
+(* Undo one [force_on] of [key]: drop a single occurrence and leave every
+   other override in place.  [force_off] cannot undo a [force_on] (off
+   wins), and a transient injection — the chaos harness arming a bug for
+   one event — must not take away an override its caller set. *)
+let unforce_on t key =
+  let rec drop = function
+    | [] -> []
+    | k :: rest -> if String.equal k key then rest else k :: drop rest
+  in
+  t.forced_on <- drop t.forced_on
 
 let find key = List.find_opt (fun b -> String.equal b.key key) bugs
 

@@ -30,10 +30,11 @@ val create : ?version:Kver.t -> unit -> t
 val force_on : t -> string -> unit
 val force_off : t -> string -> unit
 
-val clear_forced : t -> string -> unit
-(** Drop every override for a key, restoring the version-window default —
-    the undo [force_off] cannot provide (off wins over on and the override
-    lists only grow).  Used for transient injection (chaos harness). *)
+val unforce_on : t -> string -> unit
+(** Undo one {!force_on} of a key, leaving every other override (an
+    earlier [force_on], any [force_off]) in place — the undo [force_off]
+    cannot provide, since off wins over on.  Used for transient injection
+    (chaos harness). *)
 
 val find : string -> bug option
 
