@@ -4,7 +4,8 @@
 # the real numbers).
 
 .PHONY: all build test check bench bench-telemetry bench-profile lint-smoke \
-        bound-smoke trace-smoke profile-smoke parallel-smoke fuzz-smoke clean
+        bound-smoke trace-smoke serve-smoke profile-smoke parallel-smoke \
+        fuzz-smoke clean
 
 all: build
 
@@ -26,6 +27,7 @@ check:
 	$(MAKE) lint-smoke
 	$(MAKE) bound-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) serve-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) fuzz-smoke
 
@@ -64,17 +66,32 @@ bound-smoke:
 	dune exec bench/main.exe -- bound-smoke
 	@echo "bound-smoke: OK"
 
-# Causal-trace round trip: a seeded dispatch run exports a Chrome
+# Causal-trace round trip: a seeded serve run exports a Chrome
 # trace-event file, the exporter self-validates it (balanced B/E per lane,
 # monotonic timestamps), and the standalone parser re-validates from disk.
 trace-smoke:
 	dune build @all
-	dune exec bin/untenable_cli.exe -- dispatch --events 200 \
+	dune exec bin/untenable_cli.exe -- serve --reloads 0 --events 200 \
 	  --trace /tmp/untenable-trace.json > /tmp/trace_smoke.out
 	grep -q 'perfetto-valid' /tmp/trace_smoke.out
 	test -s /tmp/untenable-trace.json
 	dune exec bin/untenable_cli.exe -- trace-check /tmp/untenable-trace.json
 	@echo "trace-smoke: OK"
+
+# Runtime containment end to end: under supervision the armed probe-read
+# crasher is quarantined and the kernel survives; under isolation with
+# chaos injection it crashes on every event, because chaos disarming its
+# own helper-bug injection must not disarm the crasher's bug.
+serve-smoke:
+	dune build @all
+	dune exec bin/untenable_cli.exe -- serve --reloads 0 --events 2000 \
+	  --crasher --policy supervise > /tmp/serve_smoke_sup.out
+	grep -Eq '^[0-9]+ +crasher +quarantined ' /tmp/serve_smoke_sup.out
+	grep -q '^kernel at end: alive' /tmp/serve_smoke_sup.out
+	dune exec bin/untenable_cli.exe -- serve --reloads 0 --events 2000 \
+	  --crasher --policy isolate --chaos-rate 0.05 > /tmp/serve_smoke_iso.out
+	grep -Eq '^[0-9]+ +crasher +[a-z-]+ +2000 +0 ' /tmp/serve_smoke_iso.out
+	@echo "serve-smoke: OK"
 
 # Sampling-profiler wiring: samples land while armed and the on/off ratio
 # stays bounded.  3 reps is too noisy for the <5% target — that number

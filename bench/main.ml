@@ -12,8 +12,9 @@
 open Untenable
 module Report = Framework.Report
 module Exploits = Framework.Exploits
-module Loader = Framework.Loader
 module World = Framework.World
+module Pipeline = Framework.Pipeline
+module Invoke = Framework.Invoke
 module Vconfig = Bpf_verifier.Verifier
 module Serve = Framework.Serve
 module Kver = Kerndata.Kver
@@ -905,7 +906,7 @@ let throughput ?(smoke = false) () =
   (* -- part 2: a packet stream through several attached filters -- *)
   let build_engine () =
     let world = World.create_populated () in
-    let engine = Framework.Dispatch.create world in
+    let engine = Framework.Serve.create world in
     let open Ebpf.Asm in
     let h = Helpers.Registry.id_of_name in
     let filter name items =
@@ -922,10 +923,10 @@ let throughput ?(smoke = false) () =
     in
     List.iter
       (fun p ->
-        match Framework.Pipeline.load_ebpf engine.Framework.Dispatch.world p with
+        match Framework.Pipeline.load_ebpf engine.Framework.Serve.world p with
         | Ok loaded ->
           ignore
-            (Framework.Attach.attach engine.Framework.Dispatch.attach ~hook:"xdp"
+            (Framework.Attach.attach engine.Framework.Serve.attach ~hook:"xdp"
                loaded)
         | Error e -> failwith (Format.asprintf "%a" Framework.Pipeline.pp_error e))
       filters;
@@ -937,7 +938,7 @@ let throughput ?(smoke = false) () =
     (Serve.run engine (Serve.plan ~size:64 ~hook:"xdp" ~count ())).Serve.totals
   in
   Printf.printf "  dispatch %d events x %d attached filters:\n    %s\n" count
-    (Framework.Attach.count engine.Framework.Dispatch.attach)
+    (Framework.Attach.count engine.Framework.Serve.attach)
     (Format.asprintf "%a" Serve.pp_totals stats);
   (* determinism: a second engine, same seed, must match checksum-for-checksum *)
   let stats' =
@@ -969,7 +970,6 @@ let throughput ?(smoke = false) () =
    population with and without a 1% deterministic fault schedule, compared
    by throughput. *)
 let chaos_exp ?(smoke = false) () =
-  let module Dispatch = Framework.Dispatch in
   let module Chaos = Framework.Chaos in
   let module Supervisor = Framework.Supervisor in
   let module Attach = Framework.Attach in
@@ -980,19 +980,19 @@ let chaos_exp ?(smoke = false) () =
   let h = Helpers.Registry.id_of_name in
   let load world name ~prog_type items =
     match
-      Loader.load_ebpf world
+      Pipeline.load_ebpf world
         (Ebpf.Program.of_items_exn ~name ~prog_type items)
     with
     | Ok loaded -> loaded
-    | Error e -> failwith (Format.asprintf "%a" Loader.pp_load_error e)
+    | Error e -> failwith (Format.asprintf "%a" Pipeline.pp_error e)
   in
   let build ?policy ~crasher () =
     let world = World.create_populated () in
-    let engine = Dispatch.create ?policy world in
+    let engine = Serve.create ?policy world in
     if crasher then begin
       Helpers.Bugdb.force_on world.World.bugs "hbug:probe-read-size-unchecked";
       ignore
-        (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+        (Attach.attach engine.Serve.attach ~hook:"xdp"
            (load world "crasher" ~prog_type:Ebpf.Program.Kprobe
               [ call (h "bpf_get_current_task"); mov_r r3 r0; mov_r r1 r10;
                 add_i r1 (-16); mov_i r2 16; call (h "bpf_probe_read_kernel");
@@ -1001,7 +1001,7 @@ let chaos_exp ?(smoke = false) () =
     List.iter
       (fun (name, items) ->
         ignore
-          (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+          (Attach.attach engine.Serve.attach ~hook:"xdp"
              (load world name ~prog_type:Ebpf.Program.Socket_filter items)))
       [ ("len", [ ldxw r0 r1 0; exit_ ]);
         ("parity", [ ldxw r6 r1 0; mov_r r0 r6; and_i r0 1; exit_ ]);
@@ -1020,7 +1020,7 @@ let chaos_exp ?(smoke = false) () =
       Supervisor.cooldown_ns = 100L (* expire within a few events *);
       max_cooldown_ns = 1_000L }
   in
-  let engine = build ~policy:(Dispatch.Supervise sup_config) ~crasher:true () in
+  let engine = build ~policy:(Serve.Supervise sup_config) ~crasher:true () in
   let r = run ~count:count1 engine in
   Printf.printf
     "  crasher + 3 healthy filters, Supervise policy, %d events:\n    %s\n"
@@ -1080,8 +1080,6 @@ let chaos_exp ?(smoke = false) () =
    host-side dispatch cost — the honest analogue of compiling checks
    out. *)
 let elision_exp ?(smoke = false) () =
-  let module Pipeline = Framework.Pipeline in
-  let module Invoke = Framework.Invoke in
   print_string
     (Report.section "ELISION: redundant-guard elision on the serving path");
   let guards = 48 in
@@ -1156,8 +1154,6 @@ let elision_exp ?(smoke = false) () =
    bit-identical with batching on or off — asserted below before the
    throughput legs. *)
 let bound_exp ?(smoke = false) () =
-  let module Pipeline = Framework.Pipeline in
-  let module Invoke = Framework.Invoke in
   print_string
     (Report.section "BOUND: static cost bounds and fuel-check batching");
   let open Ebpf.Asm in
@@ -1250,10 +1246,8 @@ let bound_exp ?(smoke = false) () =
    and 1-per-10k reloads (the acceptance bar: 1 reload per 10k events
    costs < 5%). *)
 let reload_exp ?(smoke = false) () =
-  let module Dispatch = Framework.Dispatch in
   let module Attach = Framework.Attach in
   let module Epoch = Framework.Epoch in
-  let module Pipeline = Framework.Pipeline in
   print_string (Report.section "RELOAD: epoch swaps under live dispatch");
   let open Ebpf.Asm in
   let h = Helpers.Registry.id_of_name in
@@ -1272,7 +1266,7 @@ let reload_exp ?(smoke = false) () =
      rewires slot 0, so every swap has a per-event observable effect *)
   let build () =
     let world = World.create_populated () in
-    let engine = Framework.Dispatch.create world in
+    let engine = Framework.Serve.create world in
     let b1 =
       prog_id (load world "b1" ~prog_type:Ebpf.Program.Kprobe [ mov_i r0 55; exit_ ])
     in
@@ -1281,12 +1275,12 @@ let reload_exp ?(smoke = false) () =
     in
     World.set_tail_call world ~index:0 ~prog_id:b1;
     ignore
-      (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+      (Attach.attach engine.Serve.attach ~hook:"xdp"
          (load world "caller" ~prog_type:Ebpf.Program.Kprobe
             [ mov_r r1 r1; mov_i r2 0; mov_i r3 0; call (h "bpf_tail_call");
               mov_i r0 1; exit_ ]));
     ignore
-      (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+      (Attach.attach engine.Serve.attach ~hook:"xdp"
          (load world "len" ~prog_type:Ebpf.Program.Socket_filter
             [ ldxw r0 r1 0; exit_ ]));
     (engine, b1, b2)
@@ -1301,7 +1295,7 @@ let reload_exp ?(smoke = false) () =
   (* -- part 1: a scripted schedule; swap latency and grace periods -- *)
   let count1 = if smoke then 2_000 else 20_000 in
   let engine, b1, b2 = build () in
-  let world = engine.Dispatch.world in
+  let world = engine.Serve.world in
   let reload = schedule ~count:count1 ~reloads:4 (b1, b2) in
   let r =
     Serve.run engine
@@ -1372,16 +1366,14 @@ let reload_exp ?(smoke = false) () =
    same boundary (no torn reads), and every superseded epoch must have
    quiesced by the time the stream ends. *)
 let reload_smoke () =
-  let module Dispatch = Framework.Dispatch in
   let module Attach = Framework.Attach in
   let module Epoch = Framework.Epoch in
-  let module Pipeline = Framework.Pipeline in
   ignore (reload_exp ~smoke:true ());
   let open Ebpf.Asm in
   let h = Helpers.Registry.id_of_name in
   let build () =
     let world = World.create_populated () in
-    let engine = Framework.Dispatch.create world in
+    let engine = Framework.Serve.create world in
     let load name ~prog_type items =
       match
         Pipeline.load_ebpf world
@@ -1402,7 +1394,7 @@ let reload_smoke () =
     in
     World.set_tail_call world ~index:0 ~prog_id:b1;
     ignore
-      (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+      (Attach.attach engine.Serve.attach ~hook:"xdp"
          (load "caller" ~prog_type:Ebpf.Program.Kprobe
             [ mov_r r1 r1; mov_i r2 0; mov_i r3 0; call (h "bpf_tail_call");
               mov_i r0 1; exit_ ]));
@@ -1427,7 +1419,7 @@ let reload_smoke () =
     Serve.run engine2
       (Serve.plan ~gen:g ~record_checksums:true ~hook:"xdp" ~count:boundary ())
   in
-  World.set_tail_call engine2.Dispatch.world ~index:0 ~prog_id:b2';
+  World.set_tail_call engine2.Serve.world ~index:0 ~prog_id:b2';
   let second =
     Serve.run engine2
       (Serve.plan
@@ -1446,7 +1438,7 @@ let reload_smoke () =
     fail "expected exactly one applied reload";
   if live.Serve.event_checksums <> oracle then
     fail "torn read: live swap diverged from the stop-the-world oracle";
-  if Epoch.grace_pending engine.Dispatch.world.World.epochs <> 0 then
+  if Epoch.grace_pending engine.Serve.world.World.epochs <> 0 then
     fail "superseded epoch still pending after the stream quiesced";
   if List.length live.Serve.totals.Serve.per_epoch <> 2 then
     fail "expected the stream to span exactly two epochs";
@@ -1469,7 +1461,7 @@ let reload_smoke () =
 
 let parallel_engine () =
   let world = World.create_populated () in
-  let engine = Framework.Dispatch.create world in
+  let engine = Framework.Serve.create world in
   let open Ebpf.Asm in
   let h = Helpers.Registry.id_of_name in
   let filter name items =
@@ -1479,7 +1471,7 @@ let parallel_engine () =
     (fun p ->
       match Framework.Pipeline.load_ebpf world p with
       | Ok loaded ->
-        ignore (Framework.Attach.attach engine.Framework.Dispatch.attach ~hook:"xdp" loaded)
+        ignore (Framework.Attach.attach engine.Framework.Serve.attach ~hook:"xdp" loaded)
       | Error e -> failwith (Format.asprintf "%a" Framework.Pipeline.pp_error e))
     [ filter "len" [ ldxw r0 r1 0; exit_ ];
       filter "parity" [ ldxw r6 r1 0; mov_r r0 r6; and_i r0 1; exit_ ];

@@ -9,8 +9,7 @@
 
 open Untenable
 module World = Framework.World
-module Loader = Framework.Loader
-module Dispatch = Framework.Dispatch
+module Pipeline = Framework.Pipeline
 module Serve = Framework.Serve
 module Attach = Framework.Attach
 module Supervisor = Framework.Supervisor
@@ -35,16 +34,16 @@ let () =
   Registry.set_trace_capacity ((events * ((List.length filters * 8) + 8)) + 256);
   Registry.reset ();
   let world = World.create_populated () in
-  let engine = Dispatch.create world in
+  let engine = Serve.create world in
   List.iter
     (fun (name, items) ->
       match
-        Loader.load_ebpf world
+        Pipeline.load_ebpf world
           (Ebpf.Program.of_items_exn ~name ~prog_type:Ebpf.Program.Socket_filter
              items)
       with
-      | Ok loaded -> ignore (Attach.attach engine.Dispatch.attach ~hook:"xdp" loaded)
-      | Error e -> Format.kasprintf failwith "load %s: %a" name Loader.pp_load_error e)
+      | Ok loaded -> ignore (Attach.attach engine.Serve.attach ~hook:"xdp" loaded)
+      | Error e -> Format.kasprintf failwith "load %s: %a" name Pipeline.pp_error e)
     filters;
 
   (* arm the profiler for the stream; disarm no matter what *)

@@ -11,7 +11,7 @@
    Run with: dune exec examples/packet_filter.exe *)
 
 open Untenable
-module Loader = Framework.Loader
+module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module World = Framework.World
 module Program = Ebpf.Program
@@ -57,9 +57,9 @@ let run_ebpf ~budget ~ports ~packets =
     { (World.vconfig world) with Bpf_verifier.Verifier.insn_budget = budget };
   let prog = ebpf_filter ~ports in
   Printf.printf "  program: %d insns, verifier budget %d\n" (Program.length prog) budget;
-  match Loader.load_ebpf world prog with
+  match Pipeline.load_ebpf world prog with
   | Error e ->
-    Format.printf "  %a@." Loader.pp_load_error e;
+    Format.printf "  %a@." Pipeline.pp_error e;
     Printf.printf
       "  -> the §2.1 outcome: the developer must split the filter into pieces\n"
   | Ok loaded ->
@@ -71,7 +71,7 @@ let run_ebpf ~budget ~ports ~packets =
             }
           in
           let r = Invoke.run ~opts world loaded in
-        Format.printf "  port %5d -> %a@." port Loader.pp_outcome r.Loader.outcome)
+        Format.printf "  port %5d -> %a@." port Invoke.pp_outcome r.Invoke.outcome)
       packets
 
 (* ---- rustlite: one loop over the blocklist, any size ---- *)
@@ -126,8 +126,8 @@ let run_rustlite ~ports ~packets =
   match Rustlite.Toolchain.compile (rustlite_filter ~ports) with
   | Error e -> Format.printf "  toolchain: %a@." Rustlite.Toolchain.pp_error e
   | Ok ext -> (
-    match Loader.load_rustlite world ext with
-    | Error e -> Format.printf "  %a@." Loader.pp_load_error e
+    match Pipeline.load_rustlite world ext with
+    | Error e -> Format.printf "  %a@." Pipeline.pp_error e
     | Ok loaded ->
       List.iter
         (fun port ->
@@ -137,7 +137,7 @@ let run_rustlite ~ports ~packets =
             }
           in
           let r = Invoke.run ~opts world loaded in
-          Format.printf "  port %5d -> %a@." port Loader.pp_outcome r.Loader.outcome)
+          Format.printf "  port %5d -> %a@." port Invoke.pp_outcome r.Invoke.outcome)
         packets)
 
 let () =

@@ -8,7 +8,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 open Untenable
-module Loader = Framework.Loader
+module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module World = Framework.World
 module Bpf_map = Maps.Bpf_map
@@ -54,19 +54,19 @@ let run_ebpf () =
   let prog = ebpf_counter ~map_id:m.Bpf_map.id in
   Printf.printf "program (%d insns):\n%s" (Ebpf.Program.length prog)
     (Ebpf.Disasm.to_string prog.Ebpf.Program.insns);
-  match Loader.load_ebpf world prog with
-  | Error e -> Format.printf "load failed: %a@." Loader.pp_load_error e
+  match Pipeline.load_ebpf world prog with
+  | Error e -> Format.printf "load failed: %a@." Pipeline.pp_error e
   | Ok loaded ->
     (match loaded with
-    | Loader.Ebpf_prog { vstats; _ } ->
+    | Pipeline.Ebpf_prog { vstats; _ } ->
       Printf.printf "verifier: accepted after processing %d instructions, %d states\n"
         vstats.Bpf_verifier.Verifier.insns_processed
         vstats.Bpf_verifier.Verifier.states_explored
-    | Loader.Rustlite_ext _ -> ());
+    | Pipeline.Rustlite_ext _ -> ());
     for i = 1 to 3 do
       let report = Invoke.run world loaded in
-      Format.printf "run %d -> %a (kernel %a)@." i Loader.pp_outcome
-        report.Loader.outcome Kernel_sim.Kernel.pp_health report.Loader.health
+      Format.printf "run %d -> %a (kernel %a)@." i Invoke.pp_outcome
+        report.Invoke.outcome Kernel_sim.Kernel.pp_health report.Invoke.health
     done
 
 (* ----------------------- Path B: rustlite ----------------------- *)
@@ -100,15 +100,15 @@ let run_rustlite () =
   | Ok ext ->
     Printf.printf "toolchain: typechecked, ownership-checked, signed\n  digest %s\n"
       (String.sub ext.Rustlite.Toolchain.signature.Rustlite.Sign.digest_hex 0 16 ^ "...");
-    (match Loader.load_rustlite world ext with
-    | Error e -> Format.printf "load failed: %a@." Loader.pp_load_error e
+    (match Pipeline.load_rustlite world ext with
+    | Error e -> Format.printf "load failed: %a@." Pipeline.pp_error e
     | Ok loaded ->
       Printf.printf "kernel: signature valid, loaded with NO in-kernel verification\n";
       for i = 1 to 3 do
         let report = Invoke.run world loaded in
-        Format.printf "run %d -> %a (kernel %a)@." i Loader.pp_outcome
-          report.Loader.outcome Kernel_sim.Kernel.pp_health report.Loader.health;
-        List.iter (Printf.printf "  trace: %s\n") report.Loader.trace
+        Format.printf "run %d -> %a (kernel %a)@." i Invoke.pp_outcome
+          report.Invoke.outcome Kernel_sim.Kernel.pp_health report.Invoke.health;
+        List.iter (Printf.printf "  trace: %s\n") report.Invoke.trace
       done)
 
 let () =

@@ -7,7 +7,7 @@
    Run with: dune exec examples/rustlite_source.exe *)
 
 open Untenable
-module Loader = Framework.Loader
+module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module World = Framework.World
 
@@ -64,8 +64,8 @@ let compile_and_run ~name ?(wall_ms = 50) src =
     | Ok ext -> (
       Printf.printf "toolchain: checked + signed\n";
       let world = World.create_populated () in
-      match Loader.load_rustlite world ext with
-      | Error e -> Format.printf "load failed: %a@." Loader.pp_load_error e
+      match Pipeline.load_rustlite world ext with
+      | Error e -> Format.printf "load failed: %a@." Pipeline.pp_error e
       | Ok loaded ->
         for i = 1 to 3 do
           let opts =
@@ -74,8 +74,8 @@ let compile_and_run ~name ?(wall_ms = 50) src =
             }
           in
           let r = Invoke.run ~opts world loaded in
-          Format.printf "run %d -> %a@." i Loader.pp_outcome r.Loader.outcome;
-          List.iter (Printf.printf "   trace: %s\n") r.Loader.trace
+          Format.printf "run %d -> %a@." i Invoke.pp_outcome r.Invoke.outcome;
+          List.iter (Printf.printf "   trace: %s\n") r.Invoke.trace
         done;
         Format.printf "kernel: %a@."
           Kernel_sim.Kernel.pp_health

@@ -8,7 +8,7 @@
 
 open Untenable
 open Rustlite.Ast
-module Loader = Framework.Loader
+module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module World = Framework.World
 module Bpf_map = Maps.Bpf_map
@@ -78,8 +78,8 @@ let () =
   match Rustlite.Toolchain.compile src with
   | Error e -> Format.printf "toolchain rejected: %a@." Rustlite.Toolchain.pp_error e
   | Ok ext -> (
-    match Loader.load_rustlite world ext with
-    | Error e -> Format.printf "load failed: %a@." Loader.pp_load_error e
+    match Pipeline.load_rustlite world ext with
+    | Error e -> Format.printf "load failed: %a@." Pipeline.pp_error e
     | Ok loaded ->
       Printf.printf "tracing 3 scheduler hits on 2 tasks...\n";
       let nginx = List.nth world.World.kernel.Kernel_sim.Kernel.tasks 0 in
@@ -89,7 +89,7 @@ let () =
           Kernel_sim.Kernel.set_current world.World.kernel task;
           let r = Invoke.run world loaded in
           Format.printf "hit %d on %-9s -> %a@." (i + 1)
-            task.Kernel_sim.Kobject.comm Loader.pp_outcome r.Loader.outcome)
+            task.Kernel_sim.Kobject.comm Invoke.pp_outcome r.Invoke.outcome)
         (List.concat [ tasks; [ nginx ] ]);
       (* userspace drains the ring buffer *)
       (match
@@ -99,8 +99,8 @@ let () =
                Option.bind (Bpf_map.Registry.find world.World.maps id) Bpf_map.ringbuf
              else None)
            (match loaded with
-           | Loader.Rustlite_ext { map_ids; _ } -> map_ids
-           | Loader.Ebpf_prog _ -> [])
+           | Pipeline.Rustlite_ext { map_ids; _ } -> map_ids
+           | Pipeline.Ebpf_prog _ -> [])
        with
       | None -> ()
       | Some rb ->

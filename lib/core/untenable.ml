@@ -25,7 +25,8 @@
     - {!Rustlite} — the proposed safe-language framework (typed AST,
       ownership checker, signing toolchain, RAII kernel crate);
     - {!Framework} — worlds, the staged load pipeline with its verdict
-      cache, attach/dispatch with per-extension supervision (circuit
+      cache ([Pipeline]), invocation ([Invoke]), attach points and the
+      serving loop ([Serve]) with per-extension supervision (circuit
       breakers, quarantine, chaos injection), the exploit corpus, and the
       executable safety matrix;
     - {!Fuzz} — the differential fuzzing subsystem: a seeded program
@@ -37,12 +38,18 @@
     {[
       let world = Untenable.Framework.World.create_populated () in
       let prog = (* build with Untenable.Ebpf.Asm *) ... in
-      match Untenable.Framework.Loader.load_ebpf world prog with
+      match Untenable.Framework.Pipeline.load_ebpf world prog with
       | Ok loaded ->
         let report = Untenable.Framework.Invoke.run world loaded in
-        Format.printf "%a@." Untenable.Framework.Loader.pp_outcome report.outcome
-      | Error e -> Format.printf "%a@." Untenable.Framework.Loader.pp_load_error e
-    ]} *)
+        Format.printf "%a@." Untenable.Framework.Invoke.pp_outcome
+          report.Untenable.Framework.Invoke.outcome
+      | Error e -> Format.printf "%a@." Untenable.Framework.Pipeline.pp_error e
+    ]}
+
+    To serve a packet stream through attached extensions, build a
+    [Framework.Serve.plan] and call [Framework.Serve.run]; the CLI's
+    [serve] command does exactly that ([untenable-cli serve --crasher
+    --policy supervise]). *)
 
 module Tnum = Tnum
 module Telemetry = Telemetry

@@ -38,14 +38,6 @@ let detach t ~attach_id =
     t.hooks;
   !found
 
-let find t ~attach_id =
-  Hashtbl.fold
-    (fun _ attachments acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> List.find_opt (fun a -> a.attach_id = attach_id) attachments)
-    t.hooks None
-
 (* The extension's own name, for health reports. *)
 let name a =
   match a.loaded with

@@ -18,8 +18,6 @@ val attach : t -> hook:string -> Pipeline.loaded -> attachment
 val detach : t -> attach_id:int -> bool
 (** [false] if no attachment had that id. *)
 
-val find : t -> attach_id:int -> attachment option
-
 val name : attachment -> string
 (** The extension's own (program / crate) name, for health reports. *)
 

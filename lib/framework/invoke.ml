@@ -2,10 +2,9 @@
 
    Two modes share one code path:
 
-   - one-shot (the historical Loader.run behaviour): a fresh helper context
-     and fresh ctx/skb regions per invocation.  Exploit demos depend on the
-     exact allocation pattern (an OOB write lands in a *new* region), so
-     this stays byte-for-byte what it was.
+   - one-shot: a fresh helper context and fresh ctx/skb regions per
+     invocation.  Exploit demos depend on the exact allocation pattern (an
+     OOB write lands in a *new* region), so this path must not change.
 
    - pooled (a [t]): a serving loop reuses one helper context, one ctx
      region per context size, and one growable skb buffer.  Kmem regions

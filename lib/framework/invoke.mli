@@ -1,10 +1,9 @@
 (** Invoking a loaded extension, one-shot or through a pooled context.
 
-    {!run} without an [ictx] reproduces the historical per-invocation
-    behaviour exactly: fresh helper context, fresh ctx/skb regions.  With a
-    pooled {!t}, the helper context is reset and the ctx/skb regions are
-    reused, keeping the simulated address space constant-size under a
-    serving loop ({!Dispatch}). *)
+    {!run} without an [ictx] builds a fresh helper context and fresh
+    ctx/skb regions per invocation.  With a pooled {!t}, the helper context
+    is reset and the ctx/skb regions are reused, keeping the simulated
+    address space constant-size under a serving loop ({!Serve}). *)
 
 type run_opts = {
   skb_payload : Bytes.t option;  (** packet to attach (socket_filter/xdp) *)

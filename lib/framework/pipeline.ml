@@ -13,7 +13,7 @@
    only; safety came from the userspace toolchain and will be backstopped by
    the runtime guards.
 
-   Both paths produce the same [loaded] handle, run by Invoke/Loader, so any
+   Both paths produce the same [loaded] handle, run by Invoke, so any
    difference in observed safety is attributable to the architecture. *)
 
 module Kernel = Kernel_sim.Kernel

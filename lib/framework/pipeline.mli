@@ -5,9 +5,8 @@
     Path A (today's architecture, paper Figure 1) gates on the in-kernel
     verifier, fronted by the world's content-addressed {!Verdict_cache};
     path B (the proposal, paper Figure 5) gates on toolchain signature
-    validation only.  Both paths produce the same {!loaded} handle.
-
-    {!Loader} re-exports this behind the historical flat API. *)
+    validation only.  Both paths produce the same {!loaded} handle, run
+    by {!Invoke}. *)
 
 type loaded =
   | Ebpf_prog of { prog_id : int; prog : Ebpf.Program.t;

@@ -23,7 +23,7 @@ let run_rustlite ?fuel ?wall_ns world src =
   match Rustlite.Toolchain.compile src with
   | Error e -> `Toolchain_rejected (Format.asprintf "%a" Rustlite.Toolchain.pp_error e)
   | Ok ext -> (
-    match Loader.load_rustlite world ext with
+    match Pipeline.load_rustlite world ext with
     | Error _ -> `Toolchain_rejected "bad signature"
     | Ok loaded ->
       let opts = { Invoke.default_opts with Invoke.fuel; wall_ns } in
@@ -48,7 +48,7 @@ let witness_memory () =
   let observed =
     match run_rustlite world src with
     | `Toolchain_rejected msg -> "toolchain rejected: " ^ msg
-    | `Ran r -> Format.asprintf "%a" Loader.pp_outcome r.Loader.outcome
+    | `Ran r -> Format.asprintf "%a" Invoke.pp_outcome r.Invoke.outcome
   in
   { property = "No arbitrary memory access";
     mechanism = Kerndata.Safety_props.Language_safety;
@@ -70,7 +70,7 @@ let witness_control_flow () =
     | `Toolchain_rejected msg -> "toolchain rejected: " ^ msg
     | `Ran r ->
       Format.asprintf "no jump primitive exists; closest attempt: %a"
-        Loader.pp_outcome r.Loader.outcome
+        Invoke.pp_outcome r.Invoke.outcome
   in
   { property = "No arbitrary control-flow transfer";
     mechanism = Kerndata.Safety_props.Language_safety;
@@ -100,8 +100,8 @@ let witness_type_safety () =
           Rustlite.Toolchain.src =
             { ext.Rustlite.Toolchain.src with Rustlite.Toolchain.body = Panic "evil" } }
       in
-      match Loader.load_rustlite world evil with
-      | Error Loader.Bad_signature -> "tampered artifact: signature validation failed"
+      match Pipeline.load_rustlite world evil with
+      | Error Pipeline.Bad_signature -> "tampered artifact: signature validation failed"
       | Error _ -> "tampered artifact: rejected"
       | Ok _ -> "tampered artifact LOADED (!)")
   in
@@ -141,11 +141,11 @@ let witness_resources () =
     match run_rustlite world src with
     | `Toolchain_rejected msg -> "toolchain rejected: " ^ msg
     | `Ran r ->
-      let health = r.Loader.health in
+      let health = r.Invoke.health in
       Format.asprintf "%a; leaked refs=%d, outstanding resources=%d"
-        Loader.pp_outcome r.Loader.outcome
+        Invoke.pp_outcome r.Invoke.outcome
         (List.length health.Kernel.leaked_refs)
-        r.Loader.resources_outstanding
+        r.Invoke.resources_outstanding
   in
   { property = "Safe resource management";
     mechanism = Kerndata.Safety_props.Runtime_protection;
@@ -163,7 +163,7 @@ let witness_termination () =
   let observed =
     match run_rustlite ~wall_ns:1_000_000L world src with
     | `Toolchain_rejected msg -> "toolchain rejected: " ^ msg
-    | `Ran r -> Format.asprintf "%a" Loader.pp_outcome r.Loader.outcome
+    | `Ran r -> Format.asprintf "%a" Invoke.pp_outcome r.Invoke.outcome
   in
   { property = "Termination";
     mechanism = Kerndata.Safety_props.Runtime_protection;
@@ -198,11 +198,11 @@ let witness_stack () =
       ]
   in
   let observed =
-    match Loader.load_ebpf world prog with
-    | Error e -> Format.asprintf "%a" Loader.pp_load_error e
+    match Pipeline.load_ebpf world prog with
+    | Error e -> Format.asprintf "%a" Pipeline.pp_error e
     | Ok loaded ->
       let r = Invoke.run world loaded in
-      Format.asprintf "%a" Loader.pp_outcome r.Loader.outcome
+      Format.asprintf "%a" Invoke.pp_outcome r.Invoke.outcome
   in
   { property = "Stack protection";
     mechanism = Kerndata.Safety_props.Runtime_protection;

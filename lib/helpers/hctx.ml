@@ -33,9 +33,9 @@ type t = {
   mutable timers : (int64 * int * int64) list;
 }
 
-(* The PRNG seed every context starts from (each Loader.run historically
-   built a fresh hctx, so every invocation saw the same deterministic
-   stream; [reset] restores it for the same reason). *)
+(* The PRNG seed every context starts from: every invocation sees the same
+   deterministic stream, whether its context is fresh or pooled and
+   [reset]. *)
 let initial_rng_seed = 0x853c49e6748fea9bL
 
 let create ?(owner = "bpf_prog") ~kernel ~maps ~bugs () =

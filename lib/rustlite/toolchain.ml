@@ -1,7 +1,7 @@
 (* The trusted userspace toolchain: type check -> ownership check -> sign.
 
    Only extensions that pass both checkers get a signature; the kernel-side
-   loader (Framework.Loader) validates the signature and loads without any
+   loader (Framework.Pipeline) validates the signature and loads without any
    in-kernel verification — the architecture of the paper's Figure 5. *)
 
 module Bpf_map = Maps.Bpf_map

@@ -1,6 +1,6 @@
 (** The trusted userspace toolchain of §3.1: type check, ownership check,
     sign.  Only extensions that pass both checkers get a signature; the
-    kernel-side loader ({!Framework.Loader.load_rustlite}) validates the
+    kernel-side loader ({!Framework.Pipeline.load_rustlite}) validates the
     signature and performs no analysis of its own — the architecture of
     the paper's Figure 5. *)
 

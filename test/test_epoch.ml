@@ -11,7 +11,6 @@ module Epoch = Framework.Epoch
 module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module Attach = Framework.Attach
-module Dispatch = Framework.Dispatch
 module Serve = Framework.Serve
 module Verdict_cache = Framework.Verdict_cache
 module Vclock = Kernel_sim.Vclock
@@ -174,7 +173,7 @@ let test_cross_epoch_cache_reuse () =
    would corrupt. *)
 let build_reload_world () =
   let world = World.create_populated () in
-  let engine = Dispatch.create world in
+  let engine = Serve.create world in
   let b1 = prog_id_of (load_exn world ~name:"b1" [ mov_i r0 55; exit_ ]) in
   let b2 = prog_id_of (load_exn world ~name:"b2" [ mov_i r0 77; exit_ ]) in
   World.set_tail_call world ~index:0 ~prog_id:b1;
@@ -183,9 +182,9 @@ let build_reload_world () =
       [ mov_r r1 r1; mov_i r2 0; mov_i r3 0; call (h "bpf_tail_call");
         mov_i r0 1; exit_ ]
   in
-  ignore (Attach.attach engine.Dispatch.attach ~hook:"xdp" caller);
+  ignore (Attach.attach engine.Serve.attach ~hook:"xdp" caller);
   ignore
-    (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+    (Attach.attach engine.Serve.attach ~hook:"xdp"
        (load_exn world ~name:"len" [ mov_i r0 2; exit_ ]));
   (engine, b1, b2)
 
@@ -216,7 +215,7 @@ let run_with_reloads ~count indices =
    the same change, resume on the next segment. *)
 let run_stop_the_world ~count indices =
   let engine, b1, b2 = build_reload_world () in
-  let world = engine.Dispatch.world in
+  let world = engine.Serve.world in
   let checksums = Array.make count 0L in
   let run_segment ~from ~until =
     if until > from then begin

@@ -4,7 +4,7 @@
 
 open Untenable
 module World = Framework.World
-module Loader = Framework.Loader
+module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module Exploits = Framework.Exploits
 module Report = Framework.Report
@@ -31,12 +31,12 @@ let test_world_populated () =
 
 let test_load_and_run_ebpf () =
   let world = World.create_populated () in
-  match Loader.load_ebpf world trivial_prog with
-  | Error e -> Alcotest.failf "load: %s" (Format.asprintf "%a" Loader.pp_load_error e)
+  match Pipeline.load_ebpf world trivial_prog with
+  | Error e -> Alcotest.failf "load: %s" (Format.asprintf "%a" Pipeline.pp_error e)
   | Ok loaded -> (
-    match (Invoke.run world loaded).Loader.outcome with
-    | Loader.Finished 7L -> ()
-    | o -> Alcotest.failf "expected 7, got %s" (Format.asprintf "%a" Loader.pp_outcome o))
+    match (Invoke.run world loaded).Invoke.outcome with
+    | Invoke.Finished 7L -> ()
+    | o -> Alcotest.failf "expected 7, got %s" (Format.asprintf "%a" Invoke.pp_outcome o))
 
 let test_load_rejects () =
   let world = World.create_populated () in
@@ -44,8 +44,8 @@ let test_load_rejects () =
     Ebpf.Program.of_items_exn ~name:"bad" ~prog_type:Ebpf.Program.Kprobe
       [ mov_i r2 0; ldxdw r0 r2 0; exit_ ]
   in
-  match Loader.load_ebpf world bad with
-  | Error (Loader.Rejected _) -> ()
+  match Pipeline.load_ebpf world bad with
+  | Error (Pipeline.Verifier_rejected _) -> ()
   | _ -> Alcotest.fail "bad program loaded"
 
 let test_skb_ctx_wiring () =
@@ -54,7 +54,7 @@ let test_skb_ctx_wiring () =
     Ebpf.Program.of_items_exn ~name:"len" ~prog_type:Ebpf.Program.Socket_filter
       [ ldxw r0 r1 0; exit_ ]
   in
-  match Loader.load_ebpf world prog with
+  match Pipeline.load_ebpf world prog with
   | Error _ -> Alcotest.fail "rejected"
   | Ok loaded -> (
     match
@@ -64,10 +64,10 @@ let test_skb_ctx_wiring () =
              Invoke.skb_payload = Some (Bytes.make 99 'p')
            }
          world loaded)
-        .Loader.outcome
+        .Invoke.outcome
     with
-    | Loader.Finished 99L -> ()
-    | o -> Alcotest.failf "expected len 99, got %s" (Format.asprintf "%a" Loader.pp_outcome o))
+    | Invoke.Finished 99L -> ()
+    | o -> Alcotest.failf "expected len 99, got %s" (Format.asprintf "%a" Invoke.pp_outcome o))
 
 let test_tail_call_chain () =
   let world = World.create_populated () in
@@ -76,21 +76,21 @@ let test_tail_call_chain () =
     Ebpf.Program.of_items_exn ~name:"b" ~prog_type:Ebpf.Program.Kprobe
       [ mov_i r0 55; exit_ ]
   in
-  let b_loaded = Result.get_ok (Loader.load_ebpf world prog_b) in
-  let b_id = match b_loaded with Loader.Ebpf_prog { prog_id; _ } -> prog_id | _ -> 0 in
+  let b_loaded = Result.get_ok (Pipeline.load_ebpf world prog_b) in
+  let b_id = match b_loaded with Pipeline.Ebpf_prog { prog_id; _ } -> prog_id | _ -> 0 in
   let prog_a =
     Ebpf.Program.of_items_exn ~name:"a" ~prog_type:Ebpf.Program.Kprobe
       [ mov_r r1 r1; mov_i r2 0; mov_i r3 0; call (h "bpf_tail_call");
         mov_i r0 1; exit_ ]
   in
-  match Loader.load_ebpf world prog_a with
-  | Error e -> Alcotest.failf "a rejected: %s" (Format.asprintf "%a" Loader.pp_load_error e)
+  match Pipeline.load_ebpf world prog_a with
+  | Error e -> Alcotest.failf "a rejected: %s" (Format.asprintf "%a" Pipeline.pp_error e)
   | Ok a_loaded ->
     (* wire the prog array in the shared hctx at run time is loader-internal;
        instead run and expect the fallthrough (-ENOENT path) *)
-    (match (Invoke.run world a_loaded).Loader.outcome with
-    | Loader.Finished 1L -> () (* empty prog array: tail call fails, returns 1 *)
-    | o -> Alcotest.failf "expected 1, got %s" (Format.asprintf "%a" Loader.pp_outcome o));
+    (match (Invoke.run world a_loaded).Invoke.outcome with
+    | Invoke.Finished 1L -> () (* empty prog array: tail call fails, returns 1 *)
+    | o -> Alcotest.failf "expected 1, got %s" (Format.asprintf "%a" Invoke.pp_outcome o));
     ignore b_id
 
 let test_rustlite_load_path () =
@@ -99,12 +99,12 @@ let test_rustlite_load_path () =
     { Rustlite.Toolchain.name = "c"; maps = []; body = Rustlite.Ast.Lit_int 3L }
   in
   let ext = Result.get_ok (Rustlite.Toolchain.compile src) in
-  match Loader.load_rustlite world ext with
+  match Pipeline.load_rustlite world ext with
   | Error _ -> Alcotest.fail "valid extension rejected"
   | Ok loaded -> (
-    match (Invoke.run world loaded).Loader.outcome with
-    | Loader.Finished 3L -> ()
-    | o -> Alcotest.failf "expected 3, got %s" (Format.asprintf "%a" Loader.pp_outcome o))
+    match (Invoke.run world loaded).Invoke.outcome with
+    | Invoke.Finished 3L -> ()
+    | o -> Alcotest.failf "expected 3, got %s" (Format.asprintf "%a" Invoke.pp_outcome o))
 
 let test_rustlite_bad_signature () =
   let world = World.create_populated () in
@@ -118,8 +118,8 @@ let test_rustlite_bad_signature () =
         { ext.Rustlite.Toolchain.src with
           Rustlite.Toolchain.body = Rustlite.Ast.Panic "evil" } }
   in
-  match Loader.load_rustlite world evil with
-  | Error Loader.Bad_signature -> ()
+  match Pipeline.load_rustlite world evil with
+  | Error Pipeline.Bad_signature -> ()
   | _ -> Alcotest.fail "tampered extension loaded"
 
 let test_load_time_fixup () =
@@ -129,20 +129,20 @@ let test_load_time_fixup () =
       [ call_named "bpf_ktime_get_ns"; exit_ ]
   in
   Alcotest.(check bool) "relocations recorded" true (prog.Ebpf.Program.relocs <> []);
-  (match Loader.load_ebpf world prog with
-  | Error e -> Alcotest.failf "fixup load: %s" (Format.asprintf "%a" Loader.pp_load_error e)
+  (match Pipeline.load_ebpf world prog with
+  | Error e -> Alcotest.failf "fixup load: %s" (Format.asprintf "%a" Pipeline.pp_error e)
   | Ok loaded -> (
-    match (Invoke.run world loaded).Loader.outcome with
-    | Loader.Finished _ -> ()
-    | o -> Alcotest.failf "run after fixup: %s" (Format.asprintf "%a" Loader.pp_outcome o)));
+    match (Invoke.run world loaded).Invoke.outcome with
+    | Invoke.Finished _ -> ()
+    | o -> Alcotest.failf "run after fixup: %s" (Format.asprintf "%a" Invoke.pp_outcome o)));
   (* an unknown name fails the fixup, not the verifier *)
   let bad =
     Ebpf.Program.of_items_exn ~name:"badfix" ~prog_type:Ebpf.Program.Kprobe
       [ call_named "bpf_totally_made_up"; mov_i r0 0; exit_ ]
   in
-  match Loader.load_ebpf world bad with
-  | Error (Loader.Fixup_failed "bpf_totally_made_up") -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Format.asprintf "%a" Loader.pp_load_error e)
+  match Pipeline.load_ebpf world bad with
+  | Error (Pipeline.Unknown_helper "bpf_totally_made_up") -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Format.asprintf "%a" Pipeline.pp_error e)
   | Ok _ -> Alcotest.fail "unknown helper name loaded"
 
 (* ---------------- the exploit corpus, exhaustively ---------------- *)

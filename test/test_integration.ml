@@ -4,7 +4,7 @@
 
 open Untenable
 module World = Framework.World
-module Loader = Framework.Loader
+module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module Kernel = Kernel_sim.Kernel
 module Bpf_map = Maps.Bpf_map
@@ -40,29 +40,29 @@ let rustlite_counter =
           none_branch = Lit_int (-1L) } }
 
 let returns = function
-  | Loader.Finished v -> v
-  | o -> Alcotest.failf "expected Finished, got %s" (Format.asprintf "%a" Loader.pp_outcome o)
+  | Invoke.Finished v -> v
+  | o -> Alcotest.failf "expected Finished, got %s" (Format.asprintf "%a" Invoke.pp_outcome o)
 
 let test_paths_agree () =
   (* run each counter 5 times; the sequences of return values must agree *)
   let run_a () =
     let world = World.create_populated () in
     let m = World.register_map world counter_def in
-    let loaded = Result.get_ok (Loader.load_ebpf world (ebpf_counter ~map_id:m.Bpf_map.id)) in
-    List.init 5 (fun _ -> returns (Invoke.run world loaded).Loader.outcome)
+    let loaded = Result.get_ok (Pipeline.load_ebpf world (ebpf_counter ~map_id:m.Bpf_map.id)) in
+    List.init 5 (fun _ -> returns (Invoke.run world loaded).Invoke.outcome)
   in
   let run_b () =
     let world = World.create_populated () in
     let ext = Result.get_ok (Rustlite.Toolchain.compile rustlite_counter) in
-    let loaded = Result.get_ok (Loader.load_rustlite world ext) in
-    List.init 5 (fun _ -> returns (Invoke.run world loaded).Loader.outcome)
+    let loaded = Result.get_ok (Pipeline.load_rustlite world ext) in
+    List.init 5 (fun _ -> returns (Invoke.run world loaded).Invoke.outcome)
   in
   Alcotest.(check (list int64)) "same observable behaviour" (run_a ()) (run_b ())
 
 let test_both_paths_leave_healthy_kernels () =
   let world = World.create_populated () in
   let m = World.register_map world counter_def in
-  let loaded = Result.get_ok (Loader.load_ebpf world (ebpf_counter ~map_id:m.Bpf_map.id)) in
+  let loaded = Result.get_ok (Pipeline.load_ebpf world (ebpf_counter ~map_id:m.Bpf_map.id)) in
   for _ = 1 to 20 do
     ignore (Invoke.run world loaded)
   done;
@@ -79,10 +79,10 @@ let test_dead_kernel_stays_dead () =
   in
   let m = World.register_map world counter_def in
   ignore m;
-  let loaded = Result.get_ok (Loader.load_ebpf world crasher) in
-  (match (Invoke.run world loaded).Loader.outcome with
-  | Loader.Crashed _ -> ()
-  | o -> Alcotest.failf "expected crash, got %s" (Format.asprintf "%a" Loader.pp_outcome o));
+  let loaded = Result.get_ok (Pipeline.load_ebpf world crasher) in
+  (match (Invoke.run world loaded).Invoke.outcome with
+  | Invoke.Crashed _ -> ()
+  | o -> Alcotest.failf "expected crash, got %s" (Format.asprintf "%a" Invoke.pp_outcome o));
   Alcotest.(check bool) "kernel dead" true (Kernel.is_dead world.World.kernel)
 
 let test_verification_vs_signature_gate_difference () =
@@ -99,8 +99,8 @@ let test_verification_vs_signature_gate_difference () =
     Ebpf.Program.of_items_exn ~name:"l" ~prog_type:Ebpf.Program.Kprobe
       [ mov_i r0 10; label "l"; sub_i r0 1; jne_i r0 0 "l"; exit_ ]
   in
-  (match Loader.load_ebpf world_a looping with
-  | Error (Loader.Rejected _) -> ()
+  (match Pipeline.load_ebpf world_a looping with
+  | Error (Pipeline.Verifier_rejected _) -> ()
   | _ -> Alcotest.fail "legacy verifier should reject the loop");
   let world_b = World.create_populated () in
   let src =
@@ -108,28 +108,28 @@ let test_verification_vs_signature_gate_difference () =
       body = Rustlite.Ast.While (Rustlite.Ast.Lit_bool true, Rustlite.Ast.Lit_unit) }
   in
   let ext = Result.get_ok (Rustlite.Toolchain.compile src) in
-  let loaded = Result.get_ok (Loader.load_rustlite world_b ext) in
+  let loaded = Result.get_ok (Pipeline.load_rustlite world_b ext) in
   let opts = { Invoke.default_opts with Invoke.wall_ns = Some 100_000L } in
-  match (Invoke.run ~opts world_b loaded).Loader.outcome with
-  | Loader.Exhausted (Loader.Wall_clock, _) -> ()
-  | o -> Alcotest.failf "expected watchdog stop, got %s" (Format.asprintf "%a" Loader.pp_outcome o)
+  match (Invoke.run ~opts world_b loaded).Invoke.outcome with
+  | Invoke.Exhausted (Invoke.Wall_clock, _) -> ()
+  | o -> Alcotest.failf "expected watchdog stop, got %s" (Format.asprintf "%a" Invoke.pp_outcome o)
 
 let test_jit_and_interp_paths_same_result () =
   let world = World.create_populated () in
   let m = World.register_map world counter_def in
   let prog = ebpf_counter ~map_id:m.Bpf_map.id in
-  let loaded = Result.get_ok (Loader.load_ebpf world prog) in
+  let loaded = Result.get_ok (Pipeline.load_ebpf world prog) in
   let a =
     returns
       (Invoke.run ~opts:{ Invoke.default_opts with Invoke.use_jit = false }
          world loaded)
-        .Loader.outcome
+        .Invoke.outcome
   in
   let b =
     returns
       (Invoke.run ~opts:{ Invoke.default_opts with Invoke.use_jit = true }
          world loaded)
-        .Loader.outcome
+        .Invoke.outcome
   in
   Alcotest.(check int64) "interp then jit continue the same count" (Int64.add a 1L) b
 
@@ -143,9 +143,9 @@ let test_trace_pipeline () =
         mov_r r1 r10; add_i r1 (-8); mov_i r2 5; mov_i r3 42; mov_i r4 0; mov_i r5 0;
         call (h "bpf_trace_printk"); mov_i r0 0; exit_ ]
   in
-  let loaded = Result.get_ok (Loader.load_ebpf world prog) in
+  let loaded = Result.get_ok (Pipeline.load_ebpf world prog) in
   let report = Invoke.run world loaded in
-  Alcotest.(check (list string)) "trace output" [ "n=42" ] report.Loader.trace
+  Alcotest.(check (list string)) "trace output" [ "n=42" ] report.Invoke.trace
 
 let test_queue_program_end_to_end () =
   let world = World.create_populated () in
@@ -165,12 +165,12 @@ let test_queue_program_end_to_end () =
         call (h "bpf_map_pop_elem");
         ldxdw r0 r10 (-16); exit_ ]
   in
-  match Loader.load_ebpf world prog with
-  | Error e -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Loader.pp_load_error e)
+  match Pipeline.load_ebpf world prog with
+  | Error e -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Pipeline.pp_error e)
   | Ok loaded -> (
-    match (Invoke.run world loaded).Loader.outcome with
-    | Loader.Finished 41L -> ()
-    | o -> Alcotest.failf "expected 41 (FIFO), got %s" (Format.asprintf "%a" Loader.pp_outcome o))
+    match (Invoke.run world loaded).Invoke.outcome with
+    | Invoke.Finished 41L -> ()
+    | o -> Alcotest.failf "expected 41 (FIFO), got %s" (Format.asprintf "%a" Invoke.pp_outcome o))
 
 let test_timer_fires () =
   let world = World.create_populated () in
@@ -186,8 +186,8 @@ let test_timer_fires () =
         ldxdw r6 r0 0; add_i r6 1; stxdw r0 0 r6;
         label "out"; mov_i r0 0; exit_ ]
   in
-  match Loader.load_ebpf world prog with
-  | Error e -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Loader.pp_load_error e)
+  match Pipeline.load_ebpf world prog with
+  | Error e -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Pipeline.pp_error e)
   | Ok loaded ->
     ignore (Invoke.run world loaded);
     ignore (Invoke.run world loaded);
@@ -214,12 +214,12 @@ let test_timer_cancel () =
         ldxdw r6 r0 0; add_i r6 1; stxdw r0 0 r6;
         label "out"; mov_i r0 0; exit_ ]
   in
-  match Loader.load_ebpf world prog with
-  | Error e -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Loader.pp_load_error e)
+  match Pipeline.load_ebpf world prog with
+  | Error e -> Alcotest.failf "rejected: %s" (Format.asprintf "%a" Pipeline.pp_error e)
   | Ok loaded ->
-    (match (Invoke.run world loaded).Loader.outcome with
-    | Loader.Finished 1L -> ()
-    | o -> Alcotest.failf "expected 1 cancel, got %s" (Format.asprintf "%a" Loader.pp_outcome o));
+    (match (Invoke.run world loaded).Invoke.outcome with
+    | Invoke.Finished 1L -> ()
+    | o -> Alcotest.failf "expected 1 cancel, got %s" (Format.asprintf "%a" Invoke.pp_outcome o));
     let addr = Option.get (Bpf_map.lookup m ~key:(Bytes.make 4 '\000')) in
     let v =
       Kernel_sim.Kmem.load world.World.kernel.Kernel.mem ~size:8 ~addr ~context:"t"
@@ -233,8 +233,8 @@ let test_tail_call_chain_wired () =
       [ mov_i r0 55; exit_ ]
   in
   let b_id =
-    match Result.get_ok (Loader.load_ebpf world prog_b) with
-    | Loader.Ebpf_prog { prog_id; _ } -> prog_id
+    match Result.get_ok (Pipeline.load_ebpf world prog_b) with
+    | Pipeline.Ebpf_prog { prog_id; _ } -> prog_id
     | _ -> 0
   in
   World.set_tail_call world ~index:0 ~prog_id:b_id;
@@ -243,11 +243,11 @@ let test_tail_call_chain_wired () =
       [ mov_r r1 r1; mov_i r2 0; mov_i r3 0; call (h "bpf_tail_call");
         mov_i r0 1; exit_ ]
   in
-  let a = Result.get_ok (Loader.load_ebpf world prog_a) in
-  match (Invoke.run world a).Loader.outcome with
-  | Loader.Finished 55L -> ()
+  let a = Result.get_ok (Pipeline.load_ebpf world prog_a) in
+  match (Invoke.run world a).Invoke.outcome with
+  | Invoke.Finished 55L -> ()
   | o -> Alcotest.failf "expected 55 via tail call, got %s"
-           (Format.asprintf "%a" Loader.pp_outcome o)
+           (Format.asprintf "%a" Invoke.pp_outcome o)
 
 let test_tail_call_limit () =
   (* a self tail-calling program stops after MAX_TAIL_CALL_CNT hops *)
@@ -257,15 +257,15 @@ let test_tail_call_limit () =
       [ mov_r r1 r1; mov_i r2 0; mov_i r3 0; call (h "bpf_tail_call");
         mov_i r0 7; exit_ ]
   in
-  let loaded = Result.get_ok (Loader.load_ebpf world prog) in
+  let loaded = Result.get_ok (Pipeline.load_ebpf world prog) in
   let self_id =
-    match loaded with Loader.Ebpf_prog { prog_id; _ } -> prog_id | _ -> 0
+    match loaded with Pipeline.Ebpf_prog { prog_id; _ } -> prog_id | _ -> 0
   in
   World.set_tail_call world ~index:0 ~prog_id:self_id;
-  match (Invoke.run world loaded).Loader.outcome with
-  | Loader.Finished 0L -> () (* the chain was cut by the limit *)
+  match (Invoke.run world loaded).Invoke.outcome with
+  | Invoke.Finished 0L -> () (* the chain was cut by the limit *)
   | o -> Alcotest.failf "expected limit cutoff (0), got %s"
-           (Format.asprintf "%a" Loader.pp_outcome o)
+           (Format.asprintf "%a" Invoke.pp_outcome o)
 
 (* The §2.2 nested-bpf_loop hang demo, run with the fix active, must be
    stopped by the watchdog — and the telemetry subsystem must have seen it:

@@ -16,9 +16,7 @@ module Export = Telemetry.Export
 module Profiler = Telemetry.Profiler
 module Trace_check = Telemetry.Trace_check
 module World = Framework.World
-module Loader = Framework.Loader
 module Pipeline = Framework.Pipeline
-module Dispatch = Framework.Dispatch
 module Serve = Framework.Serve
 module Attach = Framework.Attach
 module Supervisor = Framework.Supervisor
@@ -51,9 +49,9 @@ let with_fresh f =
 (* ---------------- seeded dispatch stream fixtures ---------------- *)
 
 let load world name ~prog_type items =
-  match Loader.load_ebpf world (Ebpf.Program.of_items_exn ~name ~prog_type items) with
+  match Pipeline.load_ebpf world (Ebpf.Program.of_items_exn ~name ~prog_type items) with
   | Ok loaded -> loaded
-  | Error e -> Alcotest.failf "load %s: %a" name Loader.pp_load_error e
+  | Error e -> Alcotest.failf "load %s: %a" name Pipeline.pp_error e
 
 (* Verifier-accepted, crashes every invocation once the probe-read bug is
    armed (the §2.2 vehicle) — used to drive breakers open mid-stream. *)
@@ -77,15 +75,15 @@ let twitchy_breaker =
 
 let build_engine ?policy ~with_crasher () =
   let world = World.create_populated () in
-  let engine = Dispatch.create ?policy world in
+  let engine = Serve.create ?policy world in
   if with_crasher then begin
     Bugdb.force_on world.World.bugs "hbug:probe-read-size-unchecked";
     ignore
-      (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+      (Attach.attach engine.Serve.attach ~hook:"xdp"
          (load world "crasher" ~prog_type:Ebpf.Program.Kprobe crasher_items))
   end;
   ignore
-    (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+    (Attach.attach engine.Serve.attach ~hook:"xdp"
        (load world "len" ~prog_type:Ebpf.Program.Socket_filter
           [ ldxw r0 r1 0; exit_ ]));
   engine
@@ -116,7 +114,7 @@ let test_dispatch_trace_roundtrip () =
 let test_breaker_open_spans_close () =
   with_fresh (fun () ->
       let engine =
-        build_engine ~policy:(Dispatch.Supervise twitchy_breaker) ~with_crasher:true ()
+        build_engine ~policy:(Serve.Supervise twitchy_breaker) ~with_crasher:true ()
       in
       let r = run ~count:30 engine in
       Alcotest.(check bool) "breaker-open fast-fails happened" true

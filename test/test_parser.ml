@@ -153,12 +153,12 @@ let test_source_to_execution () =
   match Rustlite.Toolchain.compile { Rustlite.Toolchain.name = "sum3"; maps = []; body } with
   | Error e -> Alcotest.failf "toolchain: %s" (Format.asprintf "%a" Rustlite.Toolchain.pp_error e)
   | Ok ext -> (
-    let loaded = Result.get_ok (Framework.Loader.load_rustlite world ext) in
-    match (Framework.Invoke.run world loaded).Framework.Loader.outcome with
-    | Framework.Loader.Finished 1683L -> ()
+    let loaded = Result.get_ok (Framework.Pipeline.load_rustlite world ext) in
+    match (Framework.Invoke.run world loaded).Framework.Invoke.outcome with
+    | Framework.Invoke.Finished 1683L -> ()
     | o ->
       Alcotest.failf "expected 1683, got %s"
-        (Format.asprintf "%a" Framework.Loader.pp_outcome o))
+        (Format.asprintf "%a" Framework.Invoke.pp_outcome o))
 
 let test_source_with_resources () =
   let src = {|

@@ -9,9 +9,8 @@ module World = Framework.World
 module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module Attach = Framework.Attach
-module Dispatch = Framework.Dispatch
 module Serve = Framework.Serve
-module Loader = Framework.Loader
+module Supervisor = Framework.Supervisor
 module Verdict_cache = Framework.Verdict_cache
 module Vconfig = Bpf_verifier.Verifier
 module Program = Ebpf.Program
@@ -74,17 +73,10 @@ let test_admission_error () =
     Program.of_items_exn ~name:"big" ~prog_type:Program.Kprobe
       [ mov_i r0 0; mov_i r1 0; mov_i r2 0; mov_i r3 0; exit_ ]
   in
-  (match Pipeline.load_ebpf world prog with
+  match Pipeline.load_ebpf world prog with
   | Error (Pipeline.Too_many_insns { count = 5; max = 3 } as e) ->
     Alcotest.check stage "stage" Pipeline.Admission (Pipeline.stage_of_error e)
-  | _ -> Alcotest.fail "expected Too_many_insns {5; 3}");
-  (* the flat API folds it into the verdict the verifier's own cap issued *)
-  match Loader.load_ebpf world prog with
-  | Error (Loader.Rejected r) ->
-    Alcotest.(check string) "legacy reason text" "too many instructions (5 > 3)"
-      r.Vconfig.reason;
-    Alcotest.(check int) "legacy at_pc" 0 r.Vconfig.at_pc
-  | _ -> Alcotest.fail "expected legacy Rejected"
+  | _ -> Alcotest.fail "expected Too_many_insns {5; 3}"
 
 let test_fixup_error () =
   let world = World.create_populated () in
@@ -92,13 +84,10 @@ let test_fixup_error () =
     Program.of_items_exn ~name:"unres" ~prog_type:Program.Kprobe
       [ call_named "no_such_helper"; mov_i r0 0; exit_ ]
   in
-  (match Pipeline.load_ebpf world prog with
+  match Pipeline.load_ebpf world prog with
   | Error (Pipeline.Unknown_helper "no_such_helper" as e) ->
     Alcotest.check stage "stage" Pipeline.Fixup (Pipeline.stage_of_error e)
-  | _ -> Alcotest.fail "expected Unknown_helper");
-  match Loader.load_ebpf world prog with
-  | Error (Loader.Fixup_failed "no_such_helper") -> ()
-  | _ -> Alcotest.fail "expected legacy Fixup_failed"
+  | _ -> Alcotest.fail "expected Unknown_helper"
 
 let test_gate_reject_error () =
   let world = World.create_populated () in
@@ -423,11 +412,11 @@ let test_attach_order_and_detach () =
 
 let build_engine () =
   let world = World.create_populated () in
-  let engine = Dispatch.create world in
+  let engine = Serve.create world in
   List.iter
     (fun (name, items) ->
       ignore
-        (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+        (Attach.attach engine.Serve.attach ~hook:"xdp"
            (load_filter world name items)))
     [ ("len", [ ldxw r0 r1 0; exit_ ]);
       ("parity", [ ldxw r6 r1 0; mov_r r0 r6; and_i r0 1; exit_ ]);
@@ -435,16 +424,15 @@ let build_engine () =
   engine
 
 let test_dispatch_order () =
-  let engine = build_engine () in
-  let reports = Dispatch.dispatch_event engine ~hook:"xdp" (Bytes.make 33 'z') in
-  let returns =
-    List.map
-      (fun (r : Invoke.run_report) ->
-        match r.Invoke.outcome with Invoke.Finished v -> v | _ -> -99L)
-      reports
+  (* one event: each extension's checksum is its single return value *)
+  let s =
+    Serve.run (build_engine ())
+      (Serve.plan ~gen:(fun _ -> Bytes.make 33 'z') ~hook:"xdp" ~count:1 ())
   in
   Alcotest.(check (list int64)) "attach order: len, parity, fixed"
-    [ 33L; 1L; 9L ] returns
+    [ 33L; 1L; 9L ]
+    (List.map (fun (h : Supervisor.health) -> h.Supervisor.ret_checksum)
+       s.Serve.per_ext)
 
 let test_dispatch_deterministic () =
   let run_once () =

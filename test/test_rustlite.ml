@@ -589,7 +589,7 @@ let rl_soundness =
       | Error _ -> QCheck.assume_fail () (* only accepted programs matter *)
       | Ok ext -> (
         let world = World.create_populated () in
-        match Framework.Loader.load_rustlite world ext with
+        match Framework.Pipeline.load_rustlite world ext with
         | Error _ -> false
         | Ok loaded ->
           let report =
@@ -604,12 +604,12 @@ let rl_soundness =
             Kernel.healthy (Kernel.health world.World.kernel)
           in
           let safe_outcome =
-            match report.Framework.Loader.outcome with
-            | Framework.Loader.Finished _ | Framework.Loader.Stopped _
-            | Framework.Loader.Exhausted _ ->
+            match report.Framework.Invoke.outcome with
+            | Framework.Invoke.Finished _ | Framework.Invoke.Stopped _
+            | Framework.Invoke.Exhausted _ ->
               true
-            | Framework.Loader.Crashed _ -> false
+            | Framework.Invoke.Crashed _ -> false
           in
-          safe_outcome && healthy && report.Framework.Loader.resources_outstanding = 0))
+          safe_outcome && healthy && report.Framework.Invoke.resources_outstanding = 0))
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest rl_soundness ]

@@ -661,7 +661,7 @@ let soundness_property =
           let m = Framework.World.register_map world test_map_def in
           assert (m.Bpf_map.id = 1);
           let loaded =
-            match Framework.Loader.load_ebpf world prog with
+            match Framework.Pipeline.load_ebpf world prog with
             | Ok l -> l
             | Error _ -> Alcotest.fail "re-verification failed"
           in
@@ -671,10 +671,10 @@ let soundness_property =
             }
           in
           let report = Framework.Invoke.run ~opts world loaded in
-          match report.Framework.Loader.outcome with
-          | Framework.Loader.Crashed _ -> false
-          | Framework.Loader.Finished _ | Framework.Loader.Stopped _
-          | Framework.Loader.Exhausted _ ->
+          match report.Framework.Invoke.outcome with
+          | Framework.Invoke.Crashed _ -> false
+          | Framework.Invoke.Finished _ | Framework.Invoke.Stopped _
+          | Framework.Invoke.Exhausted _ ->
             true)))
 
 let suite =
