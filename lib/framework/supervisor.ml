@@ -15,7 +15,7 @@
    Cooldowns are measured in Vclock ns so the whole machine is
    deterministic, and the state machine is driven through [decide] /
    [observe_*] so the tests can exercise every transition without a
-   dispatch engine in the loop.
+   serving engine in the loop.
 
    A "fault" is a contained kernel crash or a budget exhaustion
    (fuel / wall-clock / stack).  A language panic is a clean self-stop —
