@@ -430,17 +430,39 @@ let test_budget_rejection () =
   expect_reject ~config ~substring:"too large"
     [ mov_i r0 200; label "l"; sub_i r0 1; jne_i r0 0 "l"; exit_ ]
 
+(* The exp-vcost families (bench/main.ml).  [diamond_chain n]: n jset
+   branches whose join states are identical, so pruning merges the 2^n
+   paths.  [path_unique n]: each branch ORs its own bit into r7, so no
+   join state subsumes another and pruning cannot help. *)
+let diamond_chain n =
+  [ mov_i r0 0; ldxdw r6 r1 0 ]
+  @ List.concat_map
+      (fun i ->
+        [ jset_i r6 1 (Printf.sprintf "t%d" i); add_i r0 0;
+          label (Printf.sprintf "t%d" i) ])
+      (List.init n Fun.id)
+  @ [ mov_i r0 0; exit_ ]
+
+let path_unique n =
+  [ mov_i r0 0; mov_i r7 0 ]
+  @ List.concat_map
+      (fun i ->
+        [ ldxdw r6 r1 (8 * (i mod 8)); jle_i r6 1000 (Printf.sprintf "t%d" i);
+          or_i r7 (1 lsl i); label (Printf.sprintf "t%d" i) ])
+      (List.init n Fun.id)
+  @ [ mov_i r0 0; exit_ ]
+
+(* One verifier run as a line: "ok insns states prunes callbacks" or
+   "rej pc reason". *)
+let describe_verdict : V.verdict -> string = function
+  | Ok s ->
+    Printf.sprintf "ok %d %d %d %d" s.V.insns_processed s.V.states_explored
+      s.V.prune_hits s.V.callbacks_verified
+  | Error r -> Printf.sprintf "rej %d %s" r.V.at_pc r.V.reason
+
 let test_pruning_reduces_work () =
   (* jset branches with identical join states: pruning keeps the walk linear *)
-  let items =
-    [ mov_i r0 0; ldxdw r6 r1 0 ]
-    @ List.concat_map
-        (fun i ->
-          [ jset_i r6 1 (Printf.sprintf "t%d" i); add_i r0 0;
-            label (Printf.sprintf "t%d" i) ])
-        (List.init 12 (fun i -> i))
-    @ [ mov_i r0 0; exit_ ]
-  in
+  let items = diamond_chain 12 in
   let pruned =
     match verify items with Ok s -> s.V.insns_processed | Error _ -> -1
   in
@@ -451,7 +473,71 @@ let test_pruning_reduces_work () =
   Alcotest.(check bool)
     (Printf.sprintf "pruned %d << unpruned %d" pruned unpruned)
     true
-    (pruned > 0 && unpruned > 100 * pruned)
+    (pruned > 0 && unpruned > 100 * pruned);
+  (* the exact work of every exp-vcost run: a change to any of these
+     numbers changes what the verifier decides, not only how fast *)
+  let run ?(prune = true) ?(insn_budget = 1_000_000) items =
+    describe_verdict
+      (verify ~config:{ (V.default_config ()) with V.prune; insn_budget } items)
+  in
+  let pins =
+    List.map
+      (fun (n, e) ->
+        (Printf.sprintf "diamond %d pruned" n, e, run (diamond_chain n)))
+      [ (4, "ok 16 5 4 0"); (8, "ok 28 9 8 0"); (12, "ok 40 13 12 0");
+        (14, "ok 46 15 14 0"); (16, "ok 52 17 16 0") ]
+    @ List.map
+        (fun (n, e) ->
+          ( Printf.sprintf "diamond %d unpruned" n, e,
+            run ~prune:false (diamond_chain n) ))
+        [ (4, "ok 64 16 0 0"); (8, "ok 1024 256 0 0");
+          (12, "ok 16384 4096 0 0") ]
+    @ List.map
+        (fun (n, e) ->
+          ( Printf.sprintf "path-unique %d" n, e,
+            run ~insn_budget:100_000 (path_unique n) ))
+        [ (8, "ok 1279 256 0 0"); (10, "ok 5119 1024 0 0");
+          (12, "ok 20479 4096 0 0");
+          ( 16,
+            "rej 51 BPF program is too large. Processed 100001 insn (the \
+             complexity limit)" ) ]
+  in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected got)
+    pins
+
+(* A seeded Fuzz.Gen corpus over all three distributions, each program
+   verified with pruning, without it, and with the prune-too-eager bug,
+   under a 20,000-instruction budget.  The digest covers every run's
+   verdict and counters, so any change to a prune decision, a counter or
+   a rejection reason shows here. *)
+let test_fuzz_corpus_pin () =
+  let map_def fd = List.nth_opt Fuzz.Oracle.map_defs (fd - 1) in
+  let configs =
+    let base = { (V.default_config ()) with V.insn_budget = 20_000 } in
+    let eager = config_with ~f:(fun b -> b.Vbug.prune_too_eager <- true) () in
+    [ ("pruned", base); ("unpruned", { base with V.prune = false });
+      ("eager", { eager with V.insn_budget = 20_000 }) ]
+  in
+  let lines = Buffer.create 4096 in
+  List.iter
+    (fun dist ->
+      let rng = Fuzz.Rng.create 26L in
+      for i = 1 to 50 do
+        let prog =
+          Fuzz.Gen.program_of_shape_exn (Fuzz.Gen.generate ~dist rng)
+        in
+        List.iter
+          (fun (cname, config) ->
+            Printf.bprintf lines "%s %d %s: %s\n" (Fuzz.Gen.dist_to_string dist)
+              i cname
+              (describe_verdict (V.verify ~config ~map_def prog)))
+          configs
+      done)
+    [ Fuzz.Gen.Clean; Fuzz.Gen.Adversarial; Fuzz.Gen.Hang ];
+  Alcotest.(check string) "corpus digest"
+    "bb96b00dcedfbf4c3b10f003f740443abe337f57346b6fa8d99495a531d52f0f"
+    (Hash.Sha256.hex_digest (Buffer.contents lines))
 
 let test_false_positive_mod_vs_mask () =
   (* §2.1's false-positive phenomenon: % escapes the abstract domain, & does
@@ -480,7 +566,7 @@ let test_spectre_v1_gate () =
 
 let test_verbose_log () =
   let config = { (V.default_config ()) with V.verbose = true } in
-  match verify ~config [ mov_i r0 0; mov_i r1 5; exit_ ] with
+  (match verify ~config [ mov_i r0 0; mov_i r1 5; exit_ ] with
   | Ok s ->
     Alcotest.(check bool) "log mentions insns" true (String.length s.V.log > 10);
     let contains sub =
@@ -489,6 +575,33 @@ let test_verbose_log () =
       go 0
     in
     Alcotest.(check bool) "log shows the mov" true (contains "mov r1, 5")
+  | Error _ -> Alcotest.fail "rejected");
+  (* two diamonds: the second join is reached twice with equal states, so
+     the walk records a prune hit; the whole log is pinned *)
+  match
+    verify ~config
+      [ mov_i r0 0; ldxdw r6 r1 0; jset_i r6 1 "a"; add_i r0 0; label "a";
+        jset_i r6 2 "b"; add_i r0 0; label "b"; exit_ ]
+  with
+  | Ok s ->
+    let state =
+      "r0=0 r1=ctx \
+       r6=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; \
+       ffffffffffffffff)) r10=fp "
+    in
+    Alcotest.(check string) "two-diamond log"
+      (String.concat "\n"
+         [ "0: mov r0, 0 ; r1=ctx r10=fp ";
+           "1: ldxdw r6, [r1+0] ; r0=0 r1=ctx r10=fp ";
+           "2: jset r6, 1, +1 ; " ^ state;
+           "4: jset r6, 2, +1 ; " ^ state;
+           "6: exit ; " ^ state;
+           "5: add r0, 0 ; " ^ state;
+           "6: safe (pruned: state subsumed by a verified one)";
+           "3: add r0, 0 ; " ^ state;
+           "4: safe (pruned: state subsumed by a verified one)";
+           "" ])
+      s.V.log
   | Error _ -> Alcotest.fail "rejected"
 
 let test_quiet_by_default () =
@@ -755,6 +868,7 @@ let suite =
     Alcotest.test_case "bounded loop accepted" `Quick test_bounded_loop_accepted;
     Alcotest.test_case "budget rejection" `Quick test_budget_rejection;
     Alcotest.test_case "pruning reduces work" `Quick test_pruning_reduces_work;
+    Alcotest.test_case "fuzz corpus verdicts pinned" `Quick test_fuzz_corpus_pin;
     Alcotest.test_case "verifier crash bug" `Quick test_verifier_crash_bug;
     Alcotest.test_case "false positive: mod vs mask" `Quick test_false_positive_mod_vs_mask;
     Alcotest.test_case "spectre v1 gate" `Quick test_spectre_v1_gate;
