@@ -77,14 +77,17 @@ type env = {
   logbuf : Buffer.t;
 }
 
+(* Append one line to the verification log.  Without [verbose] the
+   arguments are consumed unformatted: formatting every message was most
+   of a quiet walk's cost. *)
 let vlog env fmt =
-  Format.kasprintf
-    (fun s ->
-      if env.config.verbose then begin
+  if env.config.verbose then
+    Format.kasprintf
+      (fun s ->
         Buffer.add_string env.logbuf s;
-        Buffer.add_char env.logbuf '\n'
-      end)
-    fmt
+        Buffer.add_char env.logbuf '\n')
+      fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let fresh_id env =
   env.next_id <- env.next_id + 1;
@@ -1037,9 +1040,10 @@ let explore env ~entry_pc ~entry_state =
               if List.length !cell < env.config.max_states_per_point then
                 cell := Vstate.copy cur_st :: !cell
             end;
-            vlog env "%d: %s ; %s" cur_pc
-              (Insn.to_string env.prog.Program.insns.(cur_pc))
-              (Format.asprintf "%a" Vstate.pp cur_st);
+            if env.config.verbose then
+              vlog env "%d: %s ; %s" cur_pc
+                (Insn.to_string env.prog.Program.insns.(cur_pc))
+                (Format.asprintf "%a" Vstate.pp cur_st);
             match process_insn env cur_st ~pc:cur_pc with
             | `Continue next -> continue_ := Some (next, cur_st)
             | `Done -> ()

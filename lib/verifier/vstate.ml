@@ -120,20 +120,21 @@ let slot_safe ?ignore_bounds old_ cur =
 
 (* [subsumes ~old cur]: pruning is allowed when the previously-verified
    state covers the current one.  [ignore_scalar_bounds] models the
-   prune-too-eager verifier bug. *)
+   prune-too-eager verifier bug.  Like the kernel's [states_equal] it
+   stops at the first mismatch, cheapest checks first; it is a pure
+   predicate, so the order changes no answer. *)
 let subsumes ?(ignore_scalar_bounds = false) ?(ignore_lock = false) ~old_ cur =
-  let ok = ref true in
-  for i = 0 to 10 do
-    if not (regsafe ~ignore_bounds:ignore_scalar_bounds old_.regs.(i) cur.regs.(i)) then
-      ok := false
-  done;
-  for i = 0 to n_slots - 1 do
-    if not (slot_safe ~ignore_bounds:ignore_scalar_bounds old_.stack.(i) cur.stack.(i))
-    then ok := false
-  done;
-  !ok
-  && List.length old_.refs = List.length cur.refs
+  let ignore_bounds = ignore_scalar_bounds in
+  let rec regs_ok i =
+    i > 10 || (regsafe ~ignore_bounds old_.regs.(i) cur.regs.(i) && regs_ok (i + 1))
+  in
+  let rec slots_ok i =
+    i >= n_slots
+    || (slot_safe ~ignore_bounds old_.stack.(i) cur.stack.(i) && slots_ok (i + 1))
+  in
+  List.compare_lengths old_.refs cur.refs = 0
   && (ignore_lock || Bool.equal old_.lock_held cur.lock_held)
+  && regs_ok 0 && slots_ok 0
 
 let pp ppf t =
   for i = 0 to 10 do
