@@ -45,7 +45,7 @@ let errors r =
    enabled passes plus every helper's effect/safety flags (the facts the
    passes read from the registry — flip one and cached findings are
    stale). *)
-let config_signature (c : config) =
+let build_signature (c : config) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "passes:%b,%b,%b,%b\n" c.resource c.lock c.elide c.bound);
@@ -66,6 +66,26 @@ let config_signature (c : config) =
            | Some i -> string_of_int i)))
     Helpers.Registry.defs;
   Buffer.contents buf
+
+(* Every load asks for the signature twice (analysis key and verdict
+   fingerprint), and it is ~2 KB of formatting.  Memoising it is sound
+   because it is a pure function of [c], an immutable record compared
+   structurally here, and of [Helpers.Registry.defs], an immutable list of
+   immutable records fixed when the program starts: an equal config can
+   only yield the same text.  One entry suffices, since a world loads
+   under one aconfig at a time.  The cell holds an immutable pair, so
+   domains racing on it at worst build the text twice.  Returning the
+   same string also lets the verdict cache's hash memo match it by
+   physical equality. *)
+let last_signature = Atomic.make None
+
+let config_signature (c : config) =
+  match Atomic.get last_signature with
+  | Some (c', s) when c' = c -> s
+  | _ ->
+    let s = build_signature c in
+    Atomic.set last_signature (Some (c, s));
+    s
 
 (* ---- telemetry ---- *)
 

@@ -147,9 +147,10 @@ let world_map_def (w : World.t) fd =
    still the authority on safety) and the elision vector is a performance
    fact — so this stage has no error arm; it decorates the eventual handle.
    Reports are cached in the world's verdict cache under (program digest,
-   analysis-config signature), the only inputs the passes read. *)
-let analyze_ebpf ?(use_cache = true) ~aconfig (w : World.t) (prog : Program.t) :
-    Analysis.Driver.report option =
+   analysis-config signature), the only inputs the passes read.  [digest]
+   is [prog]'s, forced only on a cache lookup. *)
+let analyze_with ~digest ?(use_cache = true) ~aconfig (w : World.t)
+    (prog : Program.t) : Analysis.Driver.report option =
   let config = aconfig in
   if config = Analysis.Driver.all_off then None
   else begin
@@ -158,7 +159,7 @@ let analyze_ebpf ?(use_cache = true) ~aconfig (w : World.t) (prog : Program.t) :
       if not use_cache then Analysis.Driver.analyze ~config prog.Program.insns
       else begin
         let key =
-          Verdict_cache.analysis_key ~digest:(Program.digest prog)
+          Verdict_cache.analysis_key ~digest:(Lazy.force digest)
             ~signature:(Analysis.Driver.config_signature config)
         in
         match Verdict_cache.find_analysis w.World.vcache key with
@@ -175,6 +176,9 @@ let analyze_ebpf ?(use_cache = true) ~aconfig (w : World.t) (prog : Program.t) :
     Telemetry.Registry.observe tele_analysis_ns (Int64.sub (host_ns ()) started);
     Some report
   end
+
+let analyze_ebpf ?use_cache ~aconfig w prog =
+  analyze_with ~digest:(lazy (Program.digest prog)) ?use_cache ~aconfig w prog
 
 (* One full verifier run, with the verifier's own crash class converted into
    a typed gate error (and an oops on the simulated kernel: the verifier
@@ -194,8 +198,9 @@ let verify_uncached ~config (w : World.t) (prog : Program.t) :
 (* Gate, path A: the in-kernel verifier behind the content-addressed verdict
    cache.  The fingerprint is recomputed from live mutable state on every
    load, so config/bug-set mutation invalidates by construction; crashes are
-   never cached (each crashing load must oops the kernel again). *)
-let gate_verify ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
+   never cached (each crashing load must oops the kernel again).  [digest]
+   is [prog]'s, as in [analyze_with]. *)
+let gate_with ~digest ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
     (prog : Program.t) : (Verifier.stats, error) result =
   let started = host_ns () in
   let result =
@@ -208,7 +213,7 @@ let gate_verify ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
           ~config:vconfig ~bugs:w.World.bugs
           ~map_def:(world_map_def w) prog
       in
-      let key = Verdict_cache.key ~digest:(Program.digest prog) ~fingerprint in
+      let key = Verdict_cache.key ~digest:(Lazy.force digest) ~fingerprint in
       match Verdict_cache.find ~epoch w.World.vcache key with
       | Some (Ok vstats) ->
         Telemetry.Registry.bump tele_cache_hits;
@@ -233,6 +238,10 @@ let gate_verify ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
   in
   Telemetry.Registry.observe tele_gate_ns (Int64.sub (host_ns ()) started);
   result
+
+let gate_verify ?use_cache ~vconfig ~aconfig w prog =
+  gate_with ~digest:(lazy (Program.digest prog)) ?use_cache ~vconfig ~aconfig w
+    prog
 
 (* Link, path A: allocate a prog id and stage the program into the epoch
    builder's table (where tail calls will resolve it once published). *)
@@ -262,8 +271,11 @@ let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
         Telemetry.Registry.with_span ~clock:host_ns "pipeline.load" (fun () ->
             let* prog = stage_span Admission (fun () -> admit ~vconfig prog) in
             let* prog = stage_span Fixup (fun () -> fixup prog) in
+            (* both cache lookups key on the fixed-up image: hash it once *)
+            let digest = lazy (Program.digest prog) in
             let analysis =
-              stage_span Analyze (fun () -> analyze_ebpf ?use_cache ~aconfig w prog)
+              stage_span Analyze (fun () ->
+                  analyze_with ~digest ?use_cache ~aconfig w prog)
             in
             (* cost-budget admission rides the analyze result: a static
                bound over the epoch's max_cost budget (or an Unbounded
@@ -288,7 +300,7 @@ let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
             in
             let* vstats =
               stage_span Gate (fun () ->
-                  gate_verify ?use_cache ~vconfig ~aconfig w prog)
+                  gate_with ~digest ?use_cache ~vconfig ~aconfig w prog)
             in
             Ok (stage_span Link (fun () -> link_ebpf b prog vstats analysis))))
   in

@@ -14,13 +14,16 @@
    replays the recorded verdict — including the stats, so a cache hit is
    observationally identical to a fresh verification.
 
-   Correctness hinges on the key covering *all* the inputs.  World.vconfig
-   is a mutable field and Vbug.t is a record of mutable toggles, so the
-   fingerprint is recomputed from live values on every lookup: mutate the
-   config (or force a helper bug on) and the next load misses rather than
-   replaying a stale accept.  Verifier *crashes* (an injected verifier bug
-   killing the verifier itself) are deliberately not cached: each crashing
-   load oopses the kernel as a side effect and must keep doing so. *)
+   Correctness hinges on the key covering *all* the inputs.  The verifier
+   configuration itself changes only by publishing an epoch
+   (World.set_vconfig), but two inputs are still mutated in place: the
+   Vbug toggles nested inside it, which are shared across epochs, and the
+   world's Bugdb injection sets.  So the fingerprint is recomputed from
+   live values on every lookup: flip a Vbug field (or force a helper bug
+   on) and the next load misses rather than replaying a stale accept.
+   Verifier *crashes* (an injected verifier bug killing the verifier
+   itself) are deliberately not cached: each crashing load oopses the
+   kernel as a side effect and must keep doing so. *)
 
 module Bugdb = Helpers.Bugdb
 module Bpf_map = Maps.Bpf_map
@@ -62,6 +65,22 @@ let tele_miss = Telemetry.Registry.counter "cache.miss"
 let tele_invalidated = Telemetry.Registry.counter "cache.invalidated"
 let tele_cross_epoch = Telemetry.Registry.counter "cache.cross_epoch_reuse"
 
+(* The analysis signature is ~2 KB and the same text on every load under
+   one aconfig, so its hash is kept for the last text seen; a hash is a
+   pure function of the text, and the text check is a pointer compare
+   when the caller passes the memoised {!Analysis.Driver.config_signature}.
+   An immutable pair in an atomic cell: racing domains at worst hash
+   twice. *)
+let last_signature_hash = Atomic.make None
+
+let signature_hash s =
+  match Atomic.get last_signature_hash with
+  | Some (s', h) when s == s' || String.equal s s' -> h
+  | _ ->
+    let h = Hash.Sha256.hex_digest s in
+    Atomic.set last_signature_hash (Some (s, h));
+    h
+
 let serialize_map_def (d : Bpf_map.def) =
   Printf.sprintf "(map %s %s %d %d %d %s)" d.Bpf_map.name
     (Bpf_map.kind_to_string d.Bpf_map.kind)
@@ -78,7 +97,7 @@ let fingerprint ?(analysis = "") ~(config : Verifier.config) ~(bugs : Bugdb.t)
   add "kver %s" (Kver.to_string config.Verifier.version);
   (* the static-analysis configuration rides along: toggling a pass (or a
      helper safety flag) must not replay load results computed without it *)
-  if analysis <> "" then add "analysis %s" (Hash.Sha256.hex_digest analysis);
+  if analysis <> "" then add "analysis %s" (signature_hash analysis);
   add "max_insns %d" config.Verifier.max_insns;
   add "insn_budget %d" config.Verifier.insn_budget;
   add "max_states %d" config.Verifier.max_states_per_point;
@@ -145,8 +164,7 @@ let store ?(epoch = 0) t k v = Hashtbl.replace t.tbl k (v, epoch)
 (* Analysis reports are keyed by (program digest, analysis-config
    signature): the passes read nothing else, so nothing else can
    invalidate them. *)
-let analysis_key ~digest ~signature =
-  digest ^ ":" ^ Hash.Sha256.hex_digest signature
+let analysis_key ~digest ~signature = digest ^ ":" ^ signature_hash signature
 
 let find_analysis t k =
   match Hashtbl.find_opt t.atbl k with

@@ -4,10 +4,12 @@
     Keyed by (program digest, fingerprint of verifier config + injected bug
     sets + referenced map shapes + kernel version); a hit replays the
     recorded verdict — stats included — without re-running the verifier's
-    DFS.  The fingerprint is recomputed from live mutable state on every
-    lookup, so mutating {!World.t.vconfig}, a {!Bpf_verifier.Vbug.t}
-    toggle, or the {!Helpers.Bugdb.t} injection set invalidates cached
-    verdicts instead of replaying a stale accept. *)
+    DFS.  The fingerprint is recomputed from live state on every lookup:
+    the current verifier configuration (which changes by publishing an
+    epoch), the {!Bpf_verifier.Vbug.t} toggles inside it and the
+    {!Helpers.Bugdb.t} injection set (both mutated in place).  Flipping
+    any of them invalidates cached verdicts instead of replaying a stale
+    accept. *)
 
 type verdict = (Bpf_verifier.Verifier.stats, Bpf_verifier.Verifier.reject) result
 
@@ -24,8 +26,10 @@ val fingerprint :
   string
 (** Hash of every verdict input besides program content.  [?analysis] is
     the static-analysis configuration signature
-    ({!Analysis.Driver.config_signature}); when non-empty it is folded in,
-    so toggling an analysis pass invalidates cached load results. *)
+    ({!Analysis.Driver.config_signature}); when non-empty its hash is
+    folded in, so toggling an analysis pass invalidates cached load
+    results.  The hash of the last signature text is kept, so repeated
+    calls with one signature hash it once. *)
 
 val key : digest:string -> fingerprint:string -> string
 

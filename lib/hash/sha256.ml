@@ -26,7 +26,14 @@ let ( ^^ ) = Int32.logxor
 let ( &&& ) = Int32.logand
 let lnot32 = Int32.lognot
 
+(* Every SHA-256 computation bumps this: [digest], [hex_digest], and each
+   inner and outer hash of [hmac].  A plain atomic keeps the library
+   dependency-free and the count exact across domains. *)
+let n_calls = Atomic.make 0
+let calls () = Atomic.get n_calls
+
 let digest (msg : string) : string =
+  Atomic.incr n_calls;
   let len = String.length msg in
   (* padding: 0x80, zeros, 64-bit big-endian bit length *)
   let total = ((len + 8) / 64 + 1) * 64 in

@@ -14,3 +14,8 @@ val hex_digest : string -> string
 
 val hmac : key:string -> string -> string
 (** HMAC-SHA256, raw 32-byte MAC. *)
+
+val calls : unit -> int
+(** SHA-256 computations since start-up, over all domains: one per
+    {!digest} or {!hex_digest}, two per {!hmac} with a short key.  Tests
+    read the difference across a call to count the hashes it made. *)

@@ -459,6 +459,68 @@ let test_dispatch_telemetry () =
     (cval "pipeline.cache_misses" >= 3);
   Alcotest.(check bool) "rate exported" true (cval "dispatch.events_per_sec" >= 0)
 
+(* ---------------- SHA-256 budget ---------------- *)
+
+(* The SHA-256 computations [f] makes, and its result. *)
+let sha256_calls f =
+  let before = Hash.Sha256.calls () in
+  let r = f () in
+  (Hash.Sha256.calls () - before, r)
+
+let test_sha256_counter () =
+  let n, _ = sha256_calls (fun () -> Hash.Sha256.hex_digest "abc") in
+  Alcotest.(check int) "one per digest" 1 n;
+  let n, _ = sha256_calls (fun () -> Hash.Sha256.hmac ~key:"k" "abc") in
+  Alcotest.(check int) "two per hmac" 2 n
+
+(* A load hashes the fixed-up image once and the verdict fingerprint once;
+   the analysis signature is hashed once per distinct aconfig, which the
+   world's first load has done.  The counter also covers helpers a load
+   reaches, so any new per-load hash shows here. *)
+let test_load_sha256_budget () =
+  let world = World.create_populated () in
+  ignore
+    (Pipeline.load_ebpf world
+       (Program.of_items_exn ~name:"first" ~prog_type:Program.Kprobe
+          [ mov_i r0 3; exit_ ]));
+  let prog = trivial_prog () in
+  let cold, r1 = sha256_calls (fun () -> Pipeline.load_ebpf world prog) in
+  let warm, r2 = sha256_calls (fun () -> Pipeline.load_ebpf world prog) in
+  Alcotest.(check bool) "both loads accepted" true
+    (Result.is_ok r1 && Result.is_ok r2);
+  Alcotest.(check int) "second load was the cache hit" 1
+    (Verdict_cache.hits world.World.vcache);
+  Alcotest.(check bool)
+    (Printf.sprintf "first load: %d SHA-256 calls <= 2" cold) true (cold <= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "warm reload: %d SHA-256 calls <= 2" warm) true (warm <= 2)
+
+(* Serving hashes each attachment once per segment, never per invocation:
+   10 and 1,000 events cost the same, in-line and over two domains. *)
+let test_serve_sha256_flat () =
+  let serve ~domains count =
+    let world = World.create_populated () in
+    let engine = Serve.create world in
+    List.iter
+      (fun (name, items) ->
+        ignore
+          (Attach.attach engine.Serve.attach ~hook:"xdp"
+             (load_filter world name items)))
+      [ ("len", [ ldxw r0 r1 0; exit_ ]); ("fixed", [ mov_i r0 9; exit_ ]) ];
+    fst
+      (sha256_calls (fun () ->
+           Serve.run engine
+             (Serve.plan ~seed:7L ~size:32 ~domains ~hook:"xdp" ~count ())))
+  in
+  List.iter
+    (fun domains ->
+      let few = serve ~domains 10 and many = serve ~domains 1_000 in
+      Alcotest.(check int)
+        (Printf.sprintf "domains %d: 10 events vs 1,000" domains) few many;
+      Alcotest.(check int)
+        (Printf.sprintf "domains %d: one per attachment" domains) 2 few)
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors + sign re-export" `Quick test_sha256_vectors;
@@ -488,4 +550,9 @@ let suite =
     Alcotest.test_case "dispatch order" `Quick test_dispatch_order;
     Alcotest.test_case "dispatch deterministic" `Quick test_dispatch_deterministic;
     Alcotest.test_case "dispatch telemetry" `Quick test_dispatch_telemetry;
+    Alcotest.test_case "sha256 call counter" `Quick test_sha256_counter;
+    Alcotest.test_case "a load makes <= 2 SHA-256 calls" `Quick
+      test_load_sha256_budget;
+    Alcotest.test_case "serving hashes per attachment" `Quick
+      test_serve_sha256_flat;
   ]
