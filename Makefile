@@ -5,7 +5,7 @@
 
 .PHONY: all build test check bench bench-telemetry bench-profile lint-smoke \
         bound-smoke trace-smoke serve-smoke profile-smoke parallel-smoke \
-        fuzz-smoke clean
+        fuzz-smoke perf-smoke clean
 
 all: build
 
@@ -30,6 +30,7 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) fuzz-smoke
+	$(MAKE) perf-smoke
 
 # The three analysis passes over the lint corpus (which includes the §2.2
 # probe-read exploit vehicle): every known-bad program must be flagged,
@@ -136,6 +137,19 @@ fuzz-smoke:
 	! dune exec bin/untenable_cli.exe -- fuzz --replay /tmp/no-such-file.fuzz \
 	  2> /dev/null
 	@echo "fuzz-smoke: OK"
+
+# Correctness smoke of the repository benchmark: perfbench still builds in
+# its release profile against the current library, and every load-mix
+# verdict matches its program's class, untraced and traced.  Two seconds
+# each; no timing is gated.  The last stdout line is the result object.
+perf-smoke:
+	bash perfbench/run.sh --workload load-mix --seed 1 --seconds 2 \
+	  --trace 0 > /tmp/perf_smoke_0.out
+	tail -n 1 /tmp/perf_smoke_0.out | grep -q '"correct": true'
+	bash perfbench/run.sh --workload load-mix --seed 1 --seconds 2 \
+	  --trace 1 > /tmp/perf_smoke_1.out
+	tail -n 1 /tmp/perf_smoke_1.out | grep -q '"correct": true'
+	@echo "perf-smoke: OK"
 
 bench:
 	dune exec bench/main.exe
