@@ -78,8 +78,8 @@ type env = {
 }
 
 (* Append one line to the verification log.  Without [verbose] the
-   arguments are consumed unformatted: formatting every message was most
-   of a quiet walk's cost. *)
+   arguments are consumed unformatted: formatting a message costs more
+   than the abstract step it describes. *)
 let vlog env fmt =
   if env.config.verbose then
     Format.kasprintf

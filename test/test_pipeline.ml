@@ -185,9 +185,10 @@ let test_cache_rejects_cached () =
   | _ -> Alcotest.fail "expected cached reject");
   Alcotest.(check int) "reject was cached" 1 (Verdict_cache.hits world.World.vcache)
 
-(* The mutability footgun: vconfig is a mutable field, Vbug is a record of
-   mutable toggles, Bugdb injection is mutable.  Mutating any of them must
-   invalidate cached verdicts, not replay a stale accept. *)
+(* The mutability footgun: vconfig changes by publishing an epoch, while
+   the Vbug toggles inside it and the Bugdb injection sets are mutated in
+   place.  Changing any of them must invalidate cached verdicts, not
+   replay a stale accept. *)
 let test_invalidation_vconfig () =
   let world = World.create_populated () in
   (* a bounded loop: accepted by default, rejected pre-5.3 (allow_loops) *)
@@ -240,9 +241,9 @@ let test_invalidation_bugdb () =
   Alcotest.(check int) "restoring the bug set hits again" (hits_before + 1)
     (Verdict_cache.hits world.World.vcache)
 
-(* aconfig is the same footgun: the analysis configuration is a mutable
-   world field the verdict fingerprint folds in, so toggling a lint pass
-   must invalidate cached verdicts exactly like a vconfig mutation. *)
+(* aconfig is the same footgun: the verdict fingerprint folds in the
+   analysis configuration, so publishing one with a lint pass toggled
+   must invalidate cached verdicts exactly like a vconfig change. *)
 let test_invalidation_aconfig () =
   let world = World.create_populated () in
   let prog = trivial_prog () in
