@@ -26,6 +26,12 @@ let trivial_prog ?(name = "triv") () =
 
 (* ---------------- hash / digests ---------------- *)
 
+(* The SHA-256 computations [f] makes, and its result. *)
+let sha256_calls f =
+  let before = Hash.Sha256.calls () in
+  let r = f () in
+  (Hash.Sha256.calls () - before, r)
+
 let test_sha256_vectors () =
   (* FIPS 180-2 test vectors *)
   Alcotest.(check string) "empty"
@@ -36,7 +42,12 @@ let test_sha256_vectors () =
     (Hash.Sha256.hex_digest "abc");
   (* rustlite's Sign re-exports the same implementation *)
   Alcotest.(check string) "sign re-export" (Hash.Sha256.hex_digest "abc")
-    (Rustlite.Sign.to_hex (Rustlite.Sign.sha256 "abc"))
+    (Rustlite.Sign.to_hex (Rustlite.Sign.sha256 "abc"));
+  (* the call counter the load and serve budgets below read *)
+  let n, _ = sha256_calls (fun () -> Hash.Sha256.hex_digest "abc") in
+  Alcotest.(check int) "one count per digest" 1 n;
+  let n, _ = sha256_calls (fun () -> Hash.Sha256.hmac ~key:"k" "abc") in
+  Alcotest.(check int) "two counts per hmac" 2 n
 
 let test_program_digest () =
   let a = trivial_prog () and a' = trivial_prog () in
@@ -462,18 +473,6 @@ let test_dispatch_telemetry () =
 
 (* ---------------- SHA-256 budget ---------------- *)
 
-(* The SHA-256 computations [f] makes, and its result. *)
-let sha256_calls f =
-  let before = Hash.Sha256.calls () in
-  let r = f () in
-  (Hash.Sha256.calls () - before, r)
-
-let test_sha256_counter () =
-  let n, _ = sha256_calls (fun () -> Hash.Sha256.hex_digest "abc") in
-  Alcotest.(check int) "one per digest" 1 n;
-  let n, _ = sha256_calls (fun () -> Hash.Sha256.hmac ~key:"k" "abc") in
-  Alcotest.(check int) "two per hmac" 2 n
-
 (* A load hashes the fixed-up image once and the verdict fingerprint once;
    the analysis signature is hashed once per distinct aconfig, which the
    world's first load has done.  The counter also covers helpers a load
@@ -551,7 +550,6 @@ let suite =
     Alcotest.test_case "dispatch order" `Quick test_dispatch_order;
     Alcotest.test_case "dispatch deterministic" `Quick test_dispatch_deterministic;
     Alcotest.test_case "dispatch telemetry" `Quick test_dispatch_telemetry;
-    Alcotest.test_case "sha256 call counter" `Quick test_sha256_counter;
     Alcotest.test_case "a load makes <= 2 SHA-256 calls" `Quick
       test_load_sha256_budget;
     Alcotest.test_case "serving hashes per attachment" `Quick
