@@ -37,7 +37,17 @@ val default_opts : run_opts
     batching honoured, no derived watchdog. *)
 
 type t
-(** A reusable invocation context bound to one world. *)
+(** A reusable invocation context bound to one world.
+
+    Under [use_jit] it also holds the JIT images it compiled, keyed by
+    physical identity on (program, elision vector, [jit_branch_bug]), so
+    each program is compiled once and every later invocation, tail-call
+    targets included, runs the cached image.  The images are compiled
+    against this context's helper context, which lives as long as the
+    context, and they read every per-run budget from run-time state.  The
+    table is dropped whenever {!run} pins a snapshot of another epoch than
+    the one it was filled under: a reload recompiles what runs after it,
+    and the table never holds more than one epoch's programs. *)
 
 val create : World.t -> t
 
