@@ -139,9 +139,11 @@ fuzz-smoke:
 	@echo "fuzz-smoke: OK"
 
 # Correctness smoke of the repository benchmark: perfbench still builds in
-# its release profile against the current library, and every load-mix
-# verdict matches its program's class, untraced and traced.  Two seconds
-# each; no timing is gated.  The last stdout line is the result object.
+# its release profile against the current library, every load-mix verdict
+# matches its program's class, untraced and traced, and every serve-compute
+# chunk served on the JIT (cached images) matches an interpreter engine
+# serving the same stream.  Two seconds each; no timing is gated.  The
+# last stdout line is the result object.
 perf-smoke:
 	bash perfbench/run.sh --workload load-mix --seed 1 --seconds 2 \
 	  --trace 0 > /tmp/perf_smoke_0.out
@@ -149,6 +151,9 @@ perf-smoke:
 	bash perfbench/run.sh --workload load-mix --seed 1 --seconds 2 \
 	  --trace 1 > /tmp/perf_smoke_1.out
 	tail -n 1 /tmp/perf_smoke_1.out | grep -q '"correct": true'
+	bash perfbench/run.sh --workload serve-compute --seed 1 --seconds 2 \
+	  --trace 0 > /tmp/perf_smoke_compute.out
+	tail -n 1 /tmp/perf_smoke_compute.out | grep -q '"correct": true'
 	@echo "perf-smoke: OK"
 
 bench:
