@@ -19,6 +19,7 @@
 module Kernel = Kernel_sim.Kernel
 module Oops = Kernel_sim.Oops
 module Bpf_map = Maps.Bpf_map
+module Clock = Telemetry.Clock
 module Program = Ebpf.Program
 module Verifier = Bpf_verifier.Verifier
 
@@ -88,18 +89,13 @@ let tele_analysis_misses = Telemetry.Registry.counter "pipeline.analysis_cache_m
 let tele_analysis_ns = Telemetry.Registry.histogram "pipeline.analysis_ns"
 let tele_budget_rejects = Telemetry.Registry.counter "pipeline.cost_budget_rejects"
 
-(* Loading happens before the simulated clock moves; host CPU time is the
-   meaningful measure (it is dominated by verification on path A and by
-   signature validation on path B). *)
-let host_ns () = Int64.of_float (Sys.time () *. 1e9)
-
 (* Every load runs under a fresh causal trace, with one span per pipeline
    stage, so the exported trace tree shows exactly where a given load spent
    its time (and whether the gate was a cache hit).  Stage spans are timed
    on the host clock, like the load histograms — the simulated clock has
    not started moving yet. *)
 let stage_span stage f =
-  Telemetry.Registry.with_span ~clock:host_ns ("pipeline." ^ stage_name stage) f
+  Telemetry.Registry.with_span ~clock:Clock.now_ns ("pipeline." ^ stage_name stage) f
 
 (* ------------------------------------------------------------------ *)
 (* path A stages                                                      *)
@@ -154,7 +150,7 @@ let analyze_with ~digest ?(use_cache = true) ~aconfig (w : World.t)
   let config = aconfig in
   if config = Analysis.Driver.all_off then None
   else begin
-    let started = host_ns () in
+    let started = Clock.now_ns () in
     let report =
       if not use_cache then Analysis.Driver.analyze ~config prog.Program.insns
       else begin
@@ -173,7 +169,7 @@ let analyze_with ~digest ?(use_cache = true) ~aconfig (w : World.t)
           r
       end
     in
-    Telemetry.Registry.observe tele_analysis_ns (Int64.sub (host_ns ()) started);
+    Telemetry.Registry.observe tele_analysis_ns (Int64.sub (Clock.now_ns ()) started);
     Some report
   end
 
@@ -202,7 +198,7 @@ let verify_uncached ~config (w : World.t) (prog : Program.t) :
    is [prog]'s, as in [analyze_with]. *)
 let gate_with ~digest ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
     (prog : Program.t) : (Verifier.stats, error) result =
-  let started = host_ns () in
+  let started = Clock.now_ns () in
   let result =
     if not use_cache then verify_uncached ~config:vconfig w prog
     else begin
@@ -217,15 +213,15 @@ let gate_with ~digest ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
       match Verdict_cache.find ~epoch w.World.vcache key with
       | Some (Ok vstats) ->
         Telemetry.Registry.bump tele_cache_hits;
-        Telemetry.Registry.point ~clock:host_ns "pipeline.cache_hit";
+        Telemetry.Registry.point ~clock:Clock.now_ns "pipeline.cache_hit";
         Ok vstats
       | Some (Error r) ->
         Telemetry.Registry.bump tele_cache_hits;
-        Telemetry.Registry.point ~clock:host_ns "pipeline.cache_hit";
+        Telemetry.Registry.point ~clock:Clock.now_ns "pipeline.cache_hit";
         Error (Verifier_rejected r)
       | None -> (
         Telemetry.Registry.bump tele_cache_misses;
-        Telemetry.Registry.point ~clock:host_ns "pipeline.cache_miss";
+        Telemetry.Registry.point ~clock:Clock.now_ns "pipeline.cache_miss";
         match verify_uncached ~config:vconfig w prog with
         | Ok vstats as ok ->
           Verdict_cache.store ~epoch w.World.vcache key (Ok vstats);
@@ -236,7 +232,7 @@ let gate_with ~digest ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
         | Error _ as e -> e)
     end
   in
-  Telemetry.Registry.observe tele_gate_ns (Int64.sub (host_ns ()) started);
+  Telemetry.Registry.observe tele_gate_ns (Int64.sub (Clock.now_ns ()) started);
   result
 
 let gate_verify ?use_cache ~vconfig ~aconfig w prog =
@@ -259,7 +255,7 @@ let ( let* ) = Result.bind
 let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
     (loaded, error) result =
   Telemetry.Registry.bump tele_ebpf_loads;
-  let started = host_ns () in
+  let started = Clock.now_ns () in
   let b, own_builder =
     match into with
     | Some b -> (b, false)
@@ -268,7 +264,7 @@ let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
   let vconfig = Epoch.vconfig b and aconfig = Epoch.aconfig b in
   let result =
     Telemetry.Registry.with_trace (Telemetry.Registry.fresh_trace ()) (fun () ->
-        Telemetry.Registry.with_span ~clock:host_ns "pipeline.load" (fun () ->
+        Telemetry.Registry.with_span ~clock:Clock.now_ns "pipeline.load" (fun () ->
             let* prog = stage_span Admission (fun () -> admit ~vconfig prog) in
             let* prog = stage_span Fixup (fun () -> fixup prog) in
             (* both cache lookups key on the fixed-up image: hash it once *)
@@ -307,7 +303,7 @@ let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
   (match result with
   | Ok _ when own_builder -> ignore (Epoch.publish b)
   | Ok _ | Error _ -> ());
-  Telemetry.Registry.observe tele_load_ns (Int64.sub (host_ns ()) started);
+  Telemetry.Registry.observe tele_load_ns (Int64.sub (Clock.now_ns ()) started);
   (match result with
   | Error _ -> Telemetry.Registry.bump tele_load_errors
   | Ok _ -> ());
@@ -320,9 +316,9 @@ let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
 (* Gate, path B: recompute the payload and check the toolchain MAC; no
    analysis of any kind happens kernel-side. *)
 let gate_validate (ext : Rustlite.Toolchain.signed_extension) : (unit, error) result =
-  let started = host_ns () in
+  let started = Clock.now_ns () in
   let valid = Rustlite.Toolchain.validate ext in
-  Telemetry.Registry.observe tele_validate_ns (Int64.sub (host_ns ()) started);
+  Telemetry.Registry.observe tele_validate_ns (Int64.sub (Clock.now_ns ()) started);
   if valid then Ok () else Error Bad_signature
 
 (* Link, path B: load-time fixup — register the declared maps, nothing else.
@@ -358,7 +354,7 @@ let load_rustlite (w : World.t) (ext : Rustlite.Toolchain.signed_extension) :
   Telemetry.Registry.bump tele_rustlite_loads;
   let result =
     Telemetry.Registry.with_trace (Telemetry.Registry.fresh_trace ()) (fun () ->
-        Telemetry.Registry.with_span ~clock:host_ns "pipeline.load" (fun () ->
+        Telemetry.Registry.with_span ~clock:Clock.now_ns "pipeline.load" (fun () ->
             let* () = stage_span Gate (fun () -> gate_validate ext) in
             stage_span Link (fun () -> link_rustlite w ext)))
   in

@@ -60,6 +60,7 @@
 module Kernel = Kernel_sim.Kernel
 module Vclock = Kernel_sim.Vclock
 module Registry = Telemetry.Registry
+module Clock = Telemetry.Clock
 
 (* ---- engine ---- *)
 
@@ -256,11 +257,9 @@ let checksum_add acc = function
   | Invoke.Crashed _ -> Int64.add (Int64.mul acc 31L) (-2L)
   | Invoke.Exhausted _ -> Int64.add (Int64.mul acc 31L) (-3L)
 
-let host_ns () = Int64.of_float (Sys.time () *. 1e9)
-
 (* [t] with its wall time and rate, timed from [started]. *)
 let timed t ~started =
-  let elapsed = Int64.sub (host_ns ()) started in
+  let elapsed = Int64.sub (Clock.now_ns ()) started in
   let rate =
     if Int64.compare elapsed 0L > 0 then
       float_of_int t.events /. (Int64.to_float elapsed /. 1e9)
@@ -367,12 +366,12 @@ let apply_group ctl idx =
   let e = ctl.sc_engine in
   List.iter
     (fun (_, rplan) ->
-      let swap_started = host_ns () in
+      let swap_started = Clock.now_ns () in
       let b = Epoch.begin_ e.world.World.epochs in
       rplan e b;
       ignore (Epoch.publish b);
       Registry.observe_name "epoch.swap_ns"
-        (Int64.sub (host_ns ()) swap_started);
+        (Int64.sub (Clock.now_ns ()) swap_started);
       Registry.incr_name "dispatch.reloads";
       ctl.sc_reloads <- ctl.sc_reloads + 1)
     (List.filter (fun (i, _) -> i = idx) ctl.sc_plan.reloads)
@@ -489,7 +488,7 @@ let serve_event c i payload =
   let kernel = c.world.World.kernel in
   let vnow () = Vclock.now kernel.Kernel.clock in
   Registry.bump c.tele_events;
-  let ev_started = host_ns () in
+  let ev_started = Clock.now_ns () in
   t.events <- t.events + 1;
   (let ep = seg_snap.Epoch.epoch in
    match Hashtbl.find_opt c.epochs ep with
@@ -590,7 +589,7 @@ let serve_event c i payload =
   with
   | () ->
     record ();
-    Registry.observe c.tele_event_ns (Int64.sub (host_ns ()) ev_started)
+    Registry.observe c.tele_event_ns (Int64.sub (Clock.now_ns ()) ev_started)
   | exception Exit ->
     record ();
     raise Exit
@@ -603,7 +602,7 @@ let export_rate t =
 (* ---- the in-line shard (plan.domains = 1) ---- *)
 
 let run_inline (e : engine) (p : plan) : stats =
-  let started = host_ns () in
+  let started = Clock.now_ns () in
   let ctl = segctl_create ~inline:true e p in
   let n = if p.record_checksums then p.count else 0 in
   let c =
@@ -647,7 +646,7 @@ let recombine ~(ev_sums : int64 array) ~(ev_counts : int array) =
    by exactly the one shard an event was partitioned to, so there is no
    cross-domain write conflict. *)
 let worker (e : engine) (p : plan) ctl queue ~ev_sums ~ev_counts ~abort () =
-  let started = host_ns () in
+  let started = Clock.now_ns () in
   let sw = World.shard_of e.world in
   let c =
     new_shard e p ctl ~world:sw ~ictx:(Invoke.create sw)
@@ -666,7 +665,7 @@ let worker (e : engine) (p : plan) ctl queue ~ev_sums ~ev_counts ~abort () =
 
 let sharded (e : engine) (p : plan) : stats =
   let n = p.domains in
-  let started = host_ns () in
+  let started = Clock.now_ns () in
   let ctl = segctl_create ~inline:false e p in
   let ev_sums = Array.make p.count 0L in
   let ev_counts = Array.make p.count 0 in

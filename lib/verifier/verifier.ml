@@ -1078,8 +1078,7 @@ let tele_time = Telemetry.Registry.histogram "verifier.ns"
 (* Verification happens at load time, before the simulated clock starts to
    move, so the per-program verification-time histogram — the continuously
    measurable form of §2's "verification cost keeps growing" — is taken on
-   the host's CPU clock instead. *)
-let host_ns () = Int64.of_float (Sys.time () *. 1e9)
+   the host clock instead. *)
 
 let tele_record env started_ns accepted =
   if Telemetry.Registry.enabled () then begin
@@ -1089,7 +1088,7 @@ let tele_record env started_ns accepted =
   Telemetry.Registry.incr tele_states ~n:env.states_explored;
   Telemetry.Registry.incr tele_prunes ~n:env.prune_hits;
   Telemetry.Registry.incr tele_callbacks ~n:env.callbacks_verified;
-  Telemetry.Registry.observe tele_time (Int64.sub (host_ns ()) started_ns);
+  Telemetry.Registry.observe tele_time (Int64.sub (Telemetry.Clock.now_ns ()) started_ns);
     Telemetry.Registry.point
       (if accepted then "verifier.accept" else "verifier.reject")
       ~value:(Int64.of_int env.states_explored)
@@ -1097,7 +1096,7 @@ let tele_record env started_ns accepted =
 
 let verify ?(config = default_config ()) ~map_def (prog : Program.t) : verdict =
   let env = make_env ~config ~map_def prog in
-  let started_ns = host_ns () in
+  let started_ns = Telemetry.Clock.now_ns () in
   match
     if Array.length prog.Program.insns > config.max_insns then
       reject 0 "too many instructions (%d > %d)" (Array.length prog.Program.insns)
