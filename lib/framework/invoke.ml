@@ -33,14 +33,12 @@ type run_opts = {
   use_elision : bool;            (* honour the elide pass's guard elisions *)
   use_bound_batching : bool;     (* honour the bound pass's fuel-check
                                     windows on proven-bounded programs *)
-  bound_watchdog : bool;         (* derive a wall-clock deadline from the
-                                    static bound when none was given *)
 }
 
 let default_opts =
   { skb_payload = None; fuel = None; wall_ns = None; max_depth = None;
     ns_per_insn = 1L; use_jit = false; jit_branch_bug = false;
-    use_elision = true; use_bound_batching = true; bound_watchdog = false }
+    use_elision = true; use_bound_batching = true }
 
 (* ---- reusable invocation context ---- *)
 
@@ -230,7 +228,7 @@ let run ?(opts = default_opts) ?ictx ?snap (w : World.t)
   Kernel.snapshot_refs w.World.kernel;
   Telemetry.Registry.bump tele_runs;
   let { fuel; wall_ns; max_depth; ns_per_insn; use_jit; jit_branch_bug;
-        use_elision; use_bound_batching; bound_watchdog; _ } =
+        use_elision; use_bound_batching; _ } =
     opts
   in
   let retired = ref 0L in
@@ -272,17 +270,6 @@ let run ?(opts = default_opts) ?ictx ?snap (w : World.t)
         match static_bound with
         | Some (_, spans) when use_bound_batching -> spans
         | _ -> [||]
-      in
-      let wall_ns =
-        match (wall_ns, static_bound) with
-        | None, Some (b, _) when bound_watchdog ->
-          (* advisory deadline hint: well past anything a bounded program
-             can spend, so it only fires if the static bound lied *)
-          Some
-            (Int64.add
-               (Int64.mul (Int64.mul (Int64.of_int b) ns_per_insn) 8L)
-               4096L)
-        | w, _ -> w
       in
       let desc = Program.ctx_of_prog_type prog.Program.prog_type in
       let region =

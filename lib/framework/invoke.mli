@@ -24,17 +24,11 @@ type run_opts = {
           trip-point-identical to per-instruction checking (a window opens
           only when the tank covers it whole); off = check every
           instruction *)
-  bound_watchdog : bool;
-      (** when no [wall_ns] was given and the program has a static bound,
-          derive an advisory wall-clock deadline from it (well past what a
-          bounded program can spend — it only fires if the bound lied).
-          Off by default: a derived deadline changes outcomes for programs
-          that sleep in helpers, so it is strictly opt-in *)
 }
 
 val default_opts : run_opts
 (** No packet, no guards, 1ns/insn, interpreter, elision and fuel-check
-    batching honoured, no derived watchdog. *)
+    batching honoured. *)
 
 type t
 (** A reusable invocation context bound to one world.

@@ -76,12 +76,7 @@ val create : ?opts:Invoke.run_opts -> ?policy:policy -> World.t -> engine
     per event).  [policy] defaults to {!Isolate}.
 
     Statically bounded programs (the bound pass) serve with fuel-check
-    batching by default ([opts.use_bound_batching]); a serving loop that
-    wants a per-extension watchdog derived from each program's static
-    bound sets [opts.bound_watchdog] — the deadline hint is per handle
-    (each extension's own analysis rides its loaded handle into
-    {!Invoke.run}), advisory, and off by default so outcomes stay
-    bit-identical to per-instruction checking. *)
+    batching by default ([opts.use_bound_batching]). *)
 
 type reload = engine -> Epoch.builder -> unit
 (** A scheduled hot reload: stage epoch changes on the builder (loads via
