@@ -317,6 +317,9 @@ let run_counted ?(fuel = -1L) ?(ns_per_insn = 1L) ?(spans = [||])
   in
   st.regs.(1) <- ctx_addr;
   st.regs.(10) <- Int64.add stack.Kmem.base 512L;
+  (* helpers charge their simulated cost to the clock, as under the
+     interpreter *)
+  hctx.charge <- (fun ns -> Vclock.advance hctx.kernel.clock ns);
   Telemetry.Registry.bump tele_runs;
   (* Sampling profiler: armed per run like the interpreter's; disabled cost
      is one predictable branch per op. *)

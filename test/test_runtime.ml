@@ -275,6 +275,32 @@ let test_bpf2bpf_jit_parity () =
     Alcotest.(check int64) "parity" a b
   | _ -> Alcotest.fail "both should return"
 
+(* Helpers' simulated costs advance the clock on both engines, so a
+   program timing a helper call with bpf_ktime_get_ns reads the same
+   interval whichever engine runs it. *)
+let test_helper_cost_jit_clock () =
+  let items =
+    [ call (h "bpf_ktime_get_ns"); mov_r r6 r0; call (h "bpf_get_prandom_u32");
+      call (h "bpf_ktime_get_ns"); sub_r r0 r6; exit_ ]
+  in
+  let elapsed name run =
+    let world, hctx, ctx_addr = fresh () in
+    let clock = world.World.kernel.Kernel.clock in
+    let t0 = Kernel_sim.Vclock.now clock in
+    let prog = Program.of_items_exn ~name:"t" ~prog_type:Program.Kprobe items in
+    match run hctx prog ctx_addr with
+    | Interp.Ret v ->
+      Alcotest.(check int64) (name ^ ": interval the program read") 33L v;
+      Alcotest.(check int64) (name ^ ": clock advance") 51L
+        (Int64.sub (Kernel_sim.Vclock.now clock) t0)
+    | other ->
+      Alcotest.failf "%s: expected Ret, got %s" name
+        (Format.asprintf "%a" Interp.pp_outcome other)
+  in
+  elapsed "interp" (fun hctx prog ctx_addr -> Interp.run ~hctx ~prog ~ctx_addr ());
+  elapsed "jit" (fun hctx prog ctx_addr ->
+      Jit.run hctx (Jit.compile hctx prog) ~ctx_addr)
+
 (* A subprogram frame runs under the caller's fuel on both engines.  The
    callee's loop is finite (500,000 rounds), so an engine that drops the
    guard returns instead of hanging the suite. *)
@@ -452,4 +478,6 @@ let suite =
     Alcotest.test_case "jit oops context" `Quick test_jit_oops_context;
     Alcotest.test_case "bpf2bpf jit fuel" `Quick test_bpf2bpf_jit_fuel;
     Alcotest.test_case "bpf2bpf jit frame hook" `Quick test_bpf2bpf_jit_frame_hook;
+    Alcotest.test_case "helper costs advance the jit clock" `Quick
+      test_helper_cost_jit_clock;
   ]
