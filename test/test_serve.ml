@@ -20,6 +20,25 @@ let reload_schedule = Generators.reload_schedule
 
 (* ---------------- the determinism oracle ---------------- *)
 
+(* The oracle's body: the same stream served sequentially and forced
+   through [domains] shard workers must agree event for event. *)
+let sharded_matches_sequential ?chaos ?partition ~domains ~count ~reloads
+    ~size () =
+  let plan ?domains ?partition () =
+    Serve.plan ?chaos ?domains ?partition
+      ~reloads:(reload_schedule ~count ~reloads)
+      ~record_checksums:true ~size ~hook:"xdp" ~count ()
+  in
+  (* sequential reference on a fresh engine *)
+  let seq = Serve.run (build_engine ()) (plan ()) in
+  (* the same stream forced through the sharded machinery *)
+  let par = Serve.sharded (build_engine ()) (plan ~domains ?partition ()) in
+  par.Serve.totals.Serve.events = count
+  && par.Serve.totals.Serve.reloads = reloads
+  && Int64.equal par.Serve.totals.Serve.ret_checksum
+       seq.Serve.totals.Serve.ret_checksum
+  && par.Serve.event_checksums = seq.Serve.event_checksums
+
 let determinism_oracle =
   QCheck.Test.make ~count:12
     ~name:"sharded run reconstructs the sequential checksum exactly"
@@ -33,25 +52,20 @@ let determinism_oracle =
       let partition =
         if count mod 2 = 0 then Serve.Flow_hash else Serve.Round_robin
       in
-      let mk () =
-        Serve.plan ?chaos ~domains
-          ~reloads:(reload_schedule ~count ~reloads)
-          ~record_checksums:true ~partition ~size:48 ~hook:"xdp" ~count ()
-      in
-      (* sequential reference on a fresh engine *)
-      let seq =
-        Serve.run (build_engine ())
-          (Serve.plan ?chaos
-             ~reloads:(reload_schedule ~count ~reloads)
-             ~record_checksums:true ~size:48 ~hook:"xdp" ~count ())
-      in
-      (* the same stream forced through the sharded machinery *)
-      let par = Serve.sharded (build_engine ()) (mk ()) in
-      par.Serve.totals.Serve.events = count
-      && par.Serve.totals.Serve.reloads = reloads
-      && Int64.equal par.Serve.totals.Serve.ret_checksum
-           seq.Serve.totals.Serve.ret_checksum
-      && par.Serve.event_checksums = seq.Serve.event_checksums)
+      sharded_matches_sequential ?chaos ~partition ~domains ~count ~reloads
+        ~size:48 ())
+
+(* Fixed inputs at a longer stream: 4 domains, 1,500 events of 64 bytes,
+   calm and across two hot reloads (at events 500 and 1,000). *)
+let test_determinism_four_domains () =
+  List.iter
+    (fun reloads ->
+      Alcotest.(check bool)
+        (Printf.sprintf "4 domains, %d reloads" reloads)
+        true
+        (sharded_matches_sequential ~domains:4 ~count:1_500 ~reloads ~size:64
+           ()))
+    [ 0; 2 ]
 
 (* ---------------- one-domain pins ---------------- *)
 
@@ -486,4 +500,6 @@ let suite =
       test_jit_compiles_once_per_epoch;
     Alcotest.test_case "JIT reload swaps the image" `Quick
       test_jit_reload_swaps_image;
+    Alcotest.test_case "determinism oracle: 4 domains, 1,500 events" `Quick
+      test_determinism_four_domains;
   ]
