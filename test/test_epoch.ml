@@ -209,7 +209,7 @@ let run_with_reloads ~count indices =
       (Serve.plan ~gen:pure_gen ~reloads:reload ~record_checksums:true
          ~hook:"xdp" ~count ())
   in
-  (s.Serve.event_checksums, s.Serve.totals.Serve.reloads)
+  (s, Epoch.grace_pending engine.Serve.world.World.epochs)
 
 (* The oracle: stop the stream entirely at each reload boundary, publish
    the same change, resume on the next segment. *)
@@ -250,9 +250,22 @@ let reload_equivalence_property =
     ~name:"epoch-swap stream = stop-the-world reload"
     (QCheck.make (gen_reload_indices ~count))
     (fun indices ->
-      let with_reloads, applied = run_with_reloads ~count indices in
-      let oracle = run_stop_the_world ~count indices in
-      applied = List.length indices && with_reloads = oracle)
+      let live, _ = run_with_reloads ~count indices in
+      live.Serve.totals.Serve.reloads = List.length indices
+      && live.Serve.event_checksums = run_stop_the_world ~count indices)
+
+(* A fixed, longer stream: 1,000 events with one swap at event 500.  It
+   spans exactly two epochs, and the superseded one has quiesced by the
+   time the stream ends. *)
+let test_reload_mid_stream () =
+  let count = 1_000 and indices = [ 500 ] in
+  let live, grace_pending = run_with_reloads ~count indices in
+  Alcotest.(check int) "one reload applied" 1 live.Serve.totals.Serve.reloads;
+  Alcotest.(check bool) "live swap = stop-the-world" true
+    (live.Serve.event_checksums = run_stop_the_world ~count indices);
+  Alcotest.(check int) "two epochs served" 2
+    (List.length live.Serve.totals.Serve.per_epoch);
+  Alcotest.(check int) "no grace period pending" 0 grace_pending
 
 (* ---------------- dispatch accounting under reloads ---------------- *)
 
@@ -289,4 +302,6 @@ let suite =
     QCheck_alcotest.to_alcotest reload_equivalence_property;
     Alcotest.test_case "per-epoch event accounting" `Quick
       test_stream_per_epoch_counts;
+    Alcotest.test_case "reload at event 500 of 1,000" `Quick
+      test_reload_mid_stream;
   ]
