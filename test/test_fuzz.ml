@@ -153,18 +153,22 @@ let counter name =
   Telemetry.Counter.value (Telemetry.Registry.counter name)
 
 (* On the unmodified tree, every execution mode agrees on every generated
-   program — and the run is visible in telemetry. *)
+   program — and the run is visible in telemetry.  Seed 0xF00D with 500
+   programs is the pinned conformance gate. *)
 let test_oracle_conformance () =
-  let before = counter "fuzz.programs_generated" in
-  let r = Driver.run ~seed:17L ~budget:80 ~matrix:"quick" () in
-  Alcotest.(check int) "all programs generated" 80 r.Driver.programs;
-  Alcotest.(check (list string)) "no divergences"
-    []
-    (List.map
-       (fun f -> Format.asprintf "%a" Driver.pp_finding f)
-       r.Driver.findings);
-  Alcotest.(check int) "fuzz.programs_generated bumped" (before + 80)
-    (counter "fuzz.programs_generated")
+  List.iter
+    (fun (seed, budget) ->
+      let before = counter "fuzz.programs_generated" in
+      let r = Driver.run ~seed ~budget ~matrix:"quick" () in
+      Alcotest.(check int) "all programs generated" budget r.Driver.programs;
+      Alcotest.(check (list string)) "no divergences"
+        []
+        (List.map
+           (fun f -> Format.asprintf "%a" Driver.pp_finding f)
+           r.Driver.findings);
+      Alcotest.(check int) "fuzz.programs_generated bumped" (before + budget)
+        (counter "fuzz.programs_generated"))
+    [ (17L, 80); (0xF00DL, 500) ]
 
 let test_oracle_full_matrix_conformance () =
   let r = Driver.run ~seed:23L ~budget:25 ~matrix:"full" () in
@@ -181,13 +185,14 @@ let test_unknown_matrix_rejected () =
 (* Plant the historical JIT backward-branch bug via Bugdb force_on: the
    oracle must catch it, the shrinker must reduce the counterexample to
    <= 10 instructions, the corpus must hold a replayable reproduction,
-   and the telemetry counters must record all of it. *)
-let test_planted_jit_bug_caught_and_shrunk () =
+   and the telemetry counters must record all of it, at two pinned
+   seeds. *)
+let planted_jit_bug_caught_and_shrunk seed =
   let dir = tmp_corpus () in
   let div_before = counter "fuzz.divergences" in
   let steps_before = counter "fuzz.shrink_steps" in
   let r =
-    Driver.run ~seed:42L ~budget:60 ~matrix:"quick"
+    Driver.run ~seed ~budget:60 ~matrix:"quick"
       ~plant:[ Oracle.jit_branch_bug_key ] ~corpus_dir:dir ()
   in
   (match r.Driver.findings with
@@ -220,6 +225,9 @@ let test_planted_jit_bug_caught_and_shrunk () =
     (counter "fuzz.divergences" > div_before);
   Alcotest.(check bool) "fuzz.shrink_steps bumped" true
     (counter "fuzz.shrink_steps" > steps_before)
+
+let test_planted_jit_bug_caught_and_shrunk () =
+  List.iter planted_jit_bug_caught_and_shrunk [ 42L; 0xF00DL ]
 
 (* Shrinking is deterministic: same seed, same planted bug, same minimal
    program. *)
