@@ -555,48 +555,67 @@ let bounded_items (n, outer, body) =
     @ [ sub_i r7 1; jne_i r7 0 "inner"; sub_i r6 1; jne_i r6 0 "outer";
         exit_ ]
 
+(* [shape] under each chaos injection, on both engines: batching on and
+   off agree on the outcome and the retired count, and neither retires
+   more than the static bound.  [fuel] is the invocation's own budget. *)
+let bound_sound ?fuel shape =
+  let p = prog ~name:"boundgen" (bounded_items shape) in
+  let c =
+    match (Driver.analyze p.Ebpf.Program.insns).Driver.cost with
+    | Some c -> c
+    | None -> QCheck.Test.fail_report "bound pass did not run"
+  in
+  match c.Bound_pass.bound with
+  | Bound_pass.Unbounded ->
+    QCheck.Test.fail_report "counted loop inferred unbounded"
+  | Bound_pass.Bounded b ->
+    List.for_all
+      (fun (use_jit, inj) ->
+        let run_with use_bound_batching =
+          let world = World.create_populated () in
+          Chaos.arm inj world.World.bugs;
+          let opts =
+            Chaos.apply_opts inj
+              { Invoke.default_opts with fuel; use_jit; use_bound_batching }
+          in
+          Invoke.run ~opts world (fabricate p)
+        in
+        let where =
+          Printf.sprintf "%s under %s"
+            (if use_jit then "jit" else "interp")
+            (Chaos.describe inj)
+        in
+        let off = run_with false and on = run_with true in
+        if not (outcome_agrees off.Invoke.outcome on.Invoke.outcome) then
+          QCheck.Test.fail_reportf "%s: batching changed the outcome" where
+        else if
+          not (Int64.equal off.Invoke.insns_retired on.Invoke.insns_retired)
+        then
+          QCheck.Test.fail_reportf "%s: batching changed retired %Ld -> %Ld"
+            where off.Invoke.insns_retired on.Invoke.insns_retired
+        else if Int64.to_int on.Invoke.insns_retired > b then
+          QCheck.Test.fail_reportf "%s: retired %Ld > static bound %d" where
+            on.Invoke.insns_retired b
+        else true)
+      (List.concat_map
+         (fun use_jit ->
+           List.map
+             (fun inj -> (use_jit, inj))
+             [ Chaos.Calm; Chaos.Fuel_pressure 7L; Chaos.Fuel_pressure 100L;
+               Chaos.Stack_pressure ])
+         [ false; true ])
+
 let bound_soundness_property =
   QCheck.Test.make ~count:40
     ~name:"static bound >= retired insns under chaos, batching on and off"
-    (QCheck.make gen_bounded) (fun shape ->
-      let p = prog ~name:"boundgen" (bounded_items shape) in
-      let c =
-        match (Driver.analyze p.Ebpf.Program.insns).Driver.cost with
-        | Some c -> c
-        | None -> QCheck.Test.fail_report "bound pass did not run"
-      in
-      match c.Bound_pass.bound with
-      | Bound_pass.Unbounded ->
-        QCheck.Test.fail_report "counted loop inferred unbounded"
-      | Bound_pass.Bounded b ->
-        List.for_all
-          (fun inj ->
-            let run_with use_bound_batching =
-              let world = World.create_populated () in
-              Chaos.arm inj world.World.bugs;
-              let opts =
-                Chaos.apply_opts inj
-                  { Invoke.default_opts with use_bound_batching }
-              in
-              Invoke.run ~opts world (fabricate p)
-            in
-            let off = run_with false and on = run_with true in
-            if not (outcome_agrees off.Invoke.outcome on.Invoke.outcome) then
-              QCheck.Test.fail_reportf "under %s: batching changed the outcome"
-                (Chaos.describe inj)
-            else if
-              not (Int64.equal off.Invoke.insns_retired on.Invoke.insns_retired)
-            then
-              QCheck.Test.fail_reportf
-                "under %s: batching changed retired %Ld -> %Ld"
-                (Chaos.describe inj) off.Invoke.insns_retired
-                on.Invoke.insns_retired
-            else if Int64.to_int on.Invoke.insns_retired > b then
-              QCheck.Test.fail_reportf "under %s: retired %Ld > static bound %d"
-                (Chaos.describe inj) on.Invoke.insns_retired b
-            else true)
-          [ Chaos.Calm; Chaos.Fuel_pressure 7L; Chaos.Fuel_pressure 100L;
-            Chaos.Stack_pressure ])
+    (QCheck.make gen_bounded) bound_sound
+
+(* A fixed input: the 29-instruction alu-loop-heavy program (32 rounds of
+   eight add/xor/add triples) under a 100,000-instruction budget. *)
+let test_bound_alu_loop_heavy () =
+  let body = List.concat (List.init 8 (fun _ -> [ `Add 7; `Xor 3; `Add 1 ])) in
+  Alcotest.(check bool) "batching keeps outcome and retired count" true
+    (bound_sound ~fuel:100_000L (32, 0, body))
 
 (* ---- no masking: unbounded programs stay the watchdog's problem ---- *)
 
@@ -663,4 +682,6 @@ let suite =
     QCheck_alcotest.to_alcotest leak_ground_truth_property;
     QCheck_alcotest.to_alcotest chaos_no_masking_property;
     QCheck_alcotest.to_alcotest bound_soundness_property;
+    Alcotest.test_case "bound: alu-loop-heavy batching identity" `Quick
+      test_bound_alu_loop_heavy;
   ]
