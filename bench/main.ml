@@ -730,6 +730,11 @@ let invocation_rate ~ictx world loaded ~count opts =
 
 let pct x ~over = (x -. over) /. over *. 100.
 
+let load_exn world prog =
+  match Pipeline.load_ebpf world prog with
+  | Ok l -> l
+  | Error e -> failwith (Format.asprintf "%a" Pipeline.pp_error e)
+
 (* A guard-heavy filter: a chain of constant bounds checks the elide pass
    resolves statically, in front of a small amount of real packet work.
    The same loaded handle is invoked with elision honoured and with every
@@ -753,11 +758,7 @@ let elision_exp () =
           exit_ ])
   in
   let world = World.create_populated () in
-  let loaded =
-    match Pipeline.load_ebpf world prog with
-    | Ok l -> l
-    | Error e -> failwith (Format.asprintf "%a" Pipeline.pp_error e)
-  in
+  let loaded = load_exn world prog in
   (match loaded with
   | Pipeline.Ebpf_prog { analysis = Some a; _ } ->
     Printf.printf "  %s: %d insns, %d of %d guards elided statically\n"
@@ -812,11 +813,7 @@ let bound_exp () =
       @ [ sub_i r6 1; jne_i r6 0 "loop"; exit_ ])
   in
   let world = World.create_populated () in
-  let loaded =
-    match Pipeline.load_ebpf world prog with
-    | Ok l -> l
-    | Error e -> failwith (Format.asprintf "%a" Pipeline.pp_error e)
-  in
+  let loaded = load_exn world prog in
   (match loaded with
   | Pipeline.Ebpf_prog { analysis = Some a; _ } -> (
     match a.Analysis.Driver.cost with
